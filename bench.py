@@ -174,8 +174,7 @@ def run_bench() -> dict:
             .write_parquet(warm_path + ".tmp")
         os.rename(warm_path + ".tmp", warm_path)
     flagship(sf_run, n_entities=n_entities, num_buckets=max(32, NUM_CPUS),
-             featurizer_concurrency=None, write_to=f"{out_dir}.warm",
-             images_path=warm_path)
+             images_path=warm_path).write_parquet(f"{out_dir}.warm")
     shutil.rmtree(f"{out_dir}.warm", ignore_errors=True)
 
     # noise discipline (this box has heavy, bursty co-tenant CPU steal:
@@ -205,10 +204,8 @@ def run_bench() -> dict:
             sf_run,
             n_entities=n_entities,
             num_buckets=max(32, NUM_CPUS),
-            featurizer_concurrency=None,  # flagship balances the CPU budget
-            write_to=out_dir,
             images_path=images_path,
-        )
+        ).write_parquet(out_dir)
         head_reps.append(time.perf_counter() - t0)
         for name in run_queries:
             t0 = time.perf_counter()

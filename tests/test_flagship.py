@@ -94,6 +94,20 @@ class TestFlagship:
     def test_psnr_carried(self, result):
         assert (result["psnr_db"] >= 40.0).all()
 
+    def test_images_path_source_matches_synth(self, result, tmp_path):
+        """A materialized images table and the inline synthesized one
+        feed the same stages and give value-identical rows."""
+        from tscan_ray.pipelines.flagship import flagship, materialize_images
+        from tscan_ray.state.manifest import value_checksum
+
+        path = materialize_images(SF_DIR, str(tmp_path / "images"),
+                                  n_entities=20)
+        read = flagship(None, images_path=path, n_entities=20,
+                        num_buckets=8).to_pandas()
+        assert len(read) == len(result)
+        # value_checksum ignores row and column order
+        assert value_checksum(read) == value_checksum(result)
+
 
 class TestWindowedDiversity:
     def test_flagship_emits_windowed_ttr_mtld(self, result):

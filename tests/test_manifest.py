@@ -81,6 +81,30 @@ class TestResumableWrite:
         )
 
 
+class TestBucketPin:
+    """Resume checks only (key, num_buckets), not the hash: bucket_of
+    must never move, or a resumed job would skip the wrong partitions."""
+
+    INTS = [0, 1, 7, 42, 123456789, -5, 2**62 + 3]
+    STRS = ["a", "entity-7", "", "ZZ top", "\u00fc"]
+    EXPECTED = {
+        8: ([0, 4, 1, 7, 2, 0, 6], [0, 2, 6, 6, 3]),
+        64: ([0, 28, 9, 55, 2, 48, 22], [16, 2, 6, 62, 11]),
+    }
+
+    @pytest.mark.parametrize("nb", [8, 64])
+    def test_bucket_of_values(self, nb):
+        import numpy as np
+
+        from tscan_ray.ops.keyed import bucket_of
+
+        ints, strs = self.EXPECTED[nb]
+        assert bucket_of(np.array(self.INTS, dtype=np.int64),
+                         nb).tolist() == ints
+        assert bucket_of(np.array(self.STRS, dtype=object),
+                         nb).tolist() == strs
+
+
 class TestCliEntry:
     def test_run_module(self, ray_session, tmp_path):
         # in-process CLI call (Ray already initialized by the fixture)
@@ -88,7 +112,7 @@ class TestCliEntry:
 
         out = str(tmp_path / "job")
         rc = main(["--sf-dir", "/root/testdata/sf0.001", "--out", out,
-                   "--num-buckets", "8", "--concurrency", "2"])
+                   "--num-buckets", "8"])
         assert rc == 0
         manifests = read_manifests(out)
         assert manifests and sum(m["rows"] for m in manifests) > 0

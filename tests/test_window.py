@@ -325,198 +325,72 @@ class TestNullAndTzSemantics:
 
 
 class TestTwoLevelExchange:
-    def test_combine_tier_identical_results(self, ray_session):
-        """The combine tier must not change any exchange result."""
-        import os
+    @staticmethod
+    def _tiers(monkeypatch, group: int):
+        """Make every tiny block its own split task and set the combine
+        group (a group above the split count leaves the tier off)."""
+        from tscan_ray.ops import keyed as keyed_mod
 
-        import pandas as pd
-        import ray.data as rd
+        monkeypatch.setattr(keyed_mod, "_TARGET_SPLIT_BYTES", 1)
+        monkeypatch.setattr(keyed_mod, "_COMBINE_GROUP", group)
 
-        from tscan_ray.ops.keyed import grouped_apply
-
-        df = pd.DataFrame({"k": [i % 7 for i in range(500)],
-                           "v": range(500)})
-
-        def kernel(b: pd.DataFrame) -> pd.DataFrame:
+    @staticmethod
+    def _kernel():
+        # a local function: Ray workers pickle it by value (this test
+        # module is not importable on the workers)
+        def kernel(b):
             return (b.groupby("k", sort=False)["v"].sum().reset_index()
                     .rename(columns={"v": "s"}))
 
-        # many small blocks -> many split tasks (shrink the bundling
-        # target so each tiny block becomes its own split task)
-        from tscan_ray.ops import keyed as keyed_mod
+        return kernel
 
+    def test_combine_tier_identical_results(self, ray_session, monkeypatch):
+        """The combine tier must not change any exchange result."""
+        import pandas as pd
+        import ray.data as rd
+
+        from tscan_ray.ops.keyed import LAST_EXCHANGE_STATS, task_exchange
+
+        df = pd.DataFrame({"k": [i % 7 for i in range(500)],
+                           "v": range(500)})
         ds = rd.from_pandas(df).repartition(40)
-        old = os.environ.get("TSCAN_RAY_EXCHANGE_GROUP")
-        old_bytes = keyed_mod._TARGET_SPLIT_BYTES
-        try:
-            keyed_mod._TARGET_SPLIT_BYTES = 1
-            os.environ["TSCAN_RAY_EXCHANGE_GROUP"] = "0"   # tier off
-            base = grouped_apply(ds, "k", kernel, num_buckets=8).to_pandas()
-            os.environ["TSCAN_RAY_EXCHANGE_GROUP"] = "4"   # force the tier
-            two = grouped_apply(ds, "k", kernel, num_buckets=8).to_pandas()
-        finally:
-            keyed_mod._TARGET_SPLIT_BYTES = old_bytes
-            if old is None:
-                os.environ.pop("TSCAN_RAY_EXCHANGE_GROUP", None)
-            else:
-                os.environ["TSCAN_RAY_EXCHANGE_GROUP"] = old
+        self._tiers(monkeypatch, 1 << 30)   # tier off
+        base = task_exchange(ds, "k", self._kernel(),
+                             num_buckets=8).to_pandas()
+        assert LAST_EXCHANGE_STATS["combines"] == 0
+        self._tiers(monkeypatch, 4)         # force the tier
+        two = task_exchange(ds, "k", self._kernel(),
+                             num_buckets=8).to_pandas()
+        assert LAST_EXCHANGE_STATS["combines"] > 0
         base = base.sort_values("k").reset_index(drop=True)
         two = two.sort_values("k").reset_index(drop=True)
         pd.testing.assert_frame_equal(base, two)
 
-    def test_streaming_combine_bounds_driver_refs(self, ray_session):
+    def test_streaming_combine_bounds_driver_refs(self, ray_session,
+                                                  monkeypatch):
         """Combines are submitted as split groups fill, so the driver
         never holds all M×B split refs at once: with group=4 and 40
         splits the peak must stay near (group+1+combines)×B, far below
-        the drain-everything M×B."""
-        import os
+        the drain-everything M×B, and each reduce fans in over
+        ceil(M/group) combine refs instead of M split refs."""
+        import math
 
         import pandas as pd
         import ray.data as rd
 
-        from tscan_ray.ops import keyed as keyed_mod
-        from tscan_ray.ops.keyed import LAST_EXCHANGE_STATS, grouped_apply
+        from tscan_ray.ops.keyed import LAST_EXCHANGE_STATS, task_exchange
 
         df = pd.DataFrame({"k": [i % 7 for i in range(500)],
                            "v": range(500)})
-
-        def kernel(b: pd.DataFrame) -> pd.DataFrame:
-            return (b.groupby("k", sort=False)["v"].sum().reset_index()
-                    .rename(columns={"v": "s"}))
-
         ds = rd.from_pandas(df).repartition(40)
-        old = os.environ.get("TSCAN_RAY_EXCHANGE_GROUP")
-        old_bytes = keyed_mod._TARGET_SPLIT_BYTES
-        try:
-            keyed_mod._TARGET_SPLIT_BYTES = 1
-            os.environ["TSCAN_RAY_EXCHANGE_GROUP"] = "4"
-            grouped_apply(ds, "k", kernel, num_buckets=8).to_pandas()
-        finally:
-            keyed_mod._TARGET_SPLIT_BYTES = old_bytes
-            if old is None:
-                os.environ.pop("TSCAN_RAY_EXCHANGE_GROUP", None)
-            else:
-                os.environ["TSCAN_RAY_EXCHANGE_GROUP"] = old
+        self._tiers(monkeypatch, 4)
+        task_exchange(ds, "k", self._kernel(), num_buckets=8).to_pandas()
         st = dict(LAST_EXCHANGE_STATS)
         assert st["splits"] == 40
         assert st["combines"] == 10
+        assert st["reduce_fanin"] == st["combines"] == math.ceil(
+            st["splits"] / st["group"])
         # 40 splits x 8 buckets = 320 refs if drained; streaming keeps
         # peak at combines*B + one in-flight group*B (+ pending blocks)
         assert st["peak_driver_refs"] < 320
         assert st["peak_driver_refs"] <= (st["combines"] + 5) * 8 + 8
-
-    def test_combine_scheduling_hook_invoked(self, ray_session):
-        """The node-affinity hook receives one call per combine group
-        (multi-node placement hook, single-node smoke)."""
-        import os
-
-        import pandas as pd
-        import ray.data as rd
-
-        from tscan_ray.ops import keyed as keyed_mod
-        from tscan_ray.ops.keyed import task_exchange
-
-        df = pd.DataFrame({"k": [i % 5 for i in range(300)],
-                           "v": range(300)})
-
-        def kernel(b: pd.DataFrame) -> pd.DataFrame:
-            return (b.groupby("k", sort=False)["v"].sum().reset_index())
-
-        calls = []
-
-        def sched(group_idx: int):
-            calls.append(group_idx)
-            return "DEFAULT"  # Ray's default scheduling strategy name
-
-        ds = rd.from_pandas(df).repartition(20)
-        old = os.environ.get("TSCAN_RAY_EXCHANGE_GROUP")
-        old_bytes = keyed_mod._TARGET_SPLIT_BYTES
-        try:
-            keyed_mod._TARGET_SPLIT_BYTES = 1
-            os.environ["TSCAN_RAY_EXCHANGE_GROUP"] = "4"
-            out = task_exchange(ds, "k", kernel, num_buckets=4,
-                                combine_scheduling=sched).to_pandas()
-        finally:
-            keyed_mod._TARGET_SPLIT_BYTES = old_bytes
-            if old is None:
-                os.environ.pop("TSCAN_RAY_EXCHANGE_GROUP", None)
-            else:
-                os.environ["TSCAN_RAY_EXCHANGE_GROUP"] = old
-        assert sorted(out["k"].unique()) == [0, 1, 2, 3, 4]
-        assert calls == [0, 1, 2, 3, 4]  # 20 splits / group 4 = 5 combines
-
-    def test_node_affinity_simulation_multi_node_shape(self, ray_session):
-        """Judge item r5#8: multi-node-shaped placement simulation.
-
-        A fake 4-node topology drives a NodeAffinitySchedulingStrategy
-        factory exactly the way a cluster deployment would (combine
-        group g pinned to the node that scanned its splits, here
-        simulated as round-robin over fake node ids, soft=True so a
-        missing node falls back instead of hanging).  Asserts: the hook
-        fires once per combine in group order, each strategy carries the
-        topology's expected node id, the reduce tier fans in over
-        ceil(M/group) refs instead of M, and the answer is bit-equal to
-        the unhooked exchange."""
-        import math
-        import os
-
-        import pandas as pd
-        import ray.data as rd
-        from ray.util.scheduling_strategies import (
-            NodeAffinitySchedulingStrategy,
-        )
-
-        from tscan_ray.ops import keyed as keyed_mod
-        from tscan_ray.ops.keyed import LAST_EXCHANGE_STATS, task_exchange
-
-        fake_nodes = [f"{i:02x}" * 28 for i in range(4)]  # 56-hex ids
-        strategies: list = []
-
-        def sched(group_idx: int):
-            s = NodeAffinitySchedulingStrategy(
-                node_id=fake_nodes[group_idx % len(fake_nodes)], soft=True)
-            strategies.append(s)
-            return s
-
-        df = pd.DataFrame({"k": [i % 9 for i in range(600)],
-                           "v": range(600)})
-
-        def kernel(b: pd.DataFrame) -> pd.DataFrame:
-            return (b.groupby("k", sort=False)["v"].sum().reset_index()
-                    .rename(columns={"v": "s"}))
-
-        ds = rd.from_pandas(df).repartition(24)
-        old = os.environ.get("TSCAN_RAY_EXCHANGE_GROUP")
-        old_bytes = keyed_mod._TARGET_SPLIT_BYTES
-        try:
-            keyed_mod._TARGET_SPLIT_BYTES = 1
-            os.environ["TSCAN_RAY_EXCHANGE_GROUP"] = "4"
-            hooked = task_exchange(
-                rd.from_pandas(df).repartition(24), "k", kernel,
-                num_buckets=6, combine_scheduling=sched).to_pandas()
-            st = dict(LAST_EXCHANGE_STATS)
-            base = task_exchange(ds, "k", kernel,
-                                 num_buckets=6).to_pandas()
-        finally:
-            keyed_mod._TARGET_SPLIT_BYTES = old_bytes
-            if old is None:
-                os.environ.pop("TSCAN_RAY_EXCHANGE_GROUP", None)
-            else:
-                os.environ["TSCAN_RAY_EXCHANGE_GROUP"] = old
-
-        # combine tier: one combine per full group of splits
-        assert st["splits"] == 24
-        assert st["combines"] == math.ceil(24 / 4) == 6
-        # reduce fan-in is the combine count, not the split count
-        assert st["reduce_fanin"] == st["combines"] == math.ceil(
-            st["splits"] / st["group"])
-        # placement: one strategy per combine, pinned per the topology
-        assert len(strategies) == st["combines"]
-        for g, s in enumerate(strategies):
-            assert isinstance(s, NodeAffinitySchedulingStrategy)
-            assert s.node_id == fake_nodes[g % len(fake_nodes)]
-            assert s.soft is True
-        key = ["k"]
-        pd.testing.assert_frame_equal(
-            hooked.sort_values(key).reset_index(drop=True),
-            base.sort_values(key).reset_index(drop=True))

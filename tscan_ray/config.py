@@ -53,8 +53,9 @@ class EngineConfig:
     # <15% of the task, short enough that a 5k-row input still fans out
     # across a 16-actor pool
     featurizer_batch_size: int = 128
-    featurizer_concurrency: int | None = None  # None -> let Ray autoscale tasks
-    decode_batch_size: int = 128  # ~2.2 ms/row -> ~0.3 s per actor task
+    # decode+validate measured 0.3-0.5 ms/row (perfbench
+    # decode.ms_per_row) -> 128-row batches are ~50 ms per task
+    decode_batch_size: int = 128
 
     # --- dedup / similarity -------------------------------------------
     minhash_num_perm: int = 64

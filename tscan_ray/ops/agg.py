@@ -40,7 +40,7 @@ def groupby_sum_2phase(
     keyed on ``keys[0]`` — all partials of one key combination land in
     one bucket, so the in-bucket pandas groupby completes every group.
     """
-    from tscan_ray.ops.keyed import grouped_apply
+    from tscan_ray.ops.keyed import task_exchange
 
     sum_names = [f"sum_{c}" for c in value_cols]
 
@@ -79,9 +79,9 @@ def groupby_sum_2phase(
     if salt > 0:
         # tier 1: fold per (key, salt) on the composite exchange key;
         # tier 2: the surviving rows are only keys x salt — a tiny final fold
-        tier1 = grouped_apply(partials, "__skey__", fold, num_buckets=32)
-        return grouped_apply(tier1, keys[0], fold, num_buckets=32)
-    return grouped_apply(partials, keys[0], fold, num_buckets=32)
+        tier1 = task_exchange(partials, "__skey__", fold, num_buckets=32)
+        return task_exchange(tier1, keys[0], fold, num_buckets=32)
+    return task_exchange(partials, keys[0], fold, num_buckets=32)
 
 
 def groupby_mean_2phase(ds, keys: list[str], value_col: str, salt: int = 0):
@@ -119,7 +119,7 @@ def pivot_counts(
     its row count.
     """
     from tscan_ray.config import DEFAULT_CONFIG
-    from tscan_ray.ops.keyed import grouped_apply
+    from tscan_ray.ops.keyed import task_exchange
 
     if num_buckets is None:
         num_buckets = DEFAULT_CONFIG.num_key_buckets
@@ -141,7 +141,7 @@ def pivot_counts(
             out[c] = out[c].astype("int64")
         return out
 
-    return grouped_apply(ds.map_batches(partial, batch_format="pandas"),
+    return task_exchange(ds.map_batches(partial, batch_format="pandas"),
                          key, fold, num_buckets)
 
 
@@ -164,7 +164,7 @@ def groupby_stats_robust(
     in float64.
     """
     from tscan_ray.config import DEFAULT_CONFIG
-    from tscan_ray.ops.keyed import grouped_apply
+    from tscan_ray.ops.keyed import task_exchange
 
     if num_buckets is None:
         num_buckets = DEFAULT_CONFIG.num_key_buckets
@@ -196,4 +196,4 @@ def groupby_stats_robust(
             out["corr_ts"] = corr.reindex(med.index).to_numpy()
         return out
 
-    return grouped_apply(ds, key, fn, num_buckets)
+    return task_exchange(ds, key, fn, num_buckets)

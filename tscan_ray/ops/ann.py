@@ -461,6 +461,6 @@ def cosine_neardup_pairs(
                              "id_b": pd.array(out["id_b"], dtype="int64"),
                              "cosine": pd.array(out["cosine"], dtype="float64")})
 
-    from tscan_ray.ops.keyed import grouped_apply
+    from tscan_ray.ops.keyed import task_exchange
 
-    return grouped_apply(bucketed, "lsh_bucket", verify, num_buckets=32)
+    return task_exchange(bucketed, "lsh_bucket", verify, num_buckets=32)

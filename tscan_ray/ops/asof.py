@@ -38,7 +38,7 @@ import pandas as pd
 import pyarrow as pa
 
 from tscan_ray.config import DEFAULT_CONFIG
-from tscan_ray.ops.keyed import as_arrow_type, grouped_apply
+from tscan_ray.ops.keyed import as_arrow_type, task_exchange
 
 _SIDE = "__side__"
 
@@ -263,7 +263,7 @@ def asof_join(
             out[out_rename[rc]] = _gather(rdf[rc], ridx, out.index)
         return out
 
-    return grouped_apply(both, key, merge, num_buckets,
+    return task_exchange(both, key, merge, num_buckets,
                          batch_format="pyarrow")
 
 
@@ -340,5 +340,5 @@ def interval_join(
             out[orig] = _gather(rdf[internal], ridx, out.index)
         return out
 
-    return grouped_apply(both, key, merge, num_buckets,
+    return task_exchange(both, key, merge, num_buckets,
                          batch_format="pyarrow")

@@ -300,9 +300,9 @@ def minhash_lsh_pairs(
         return pd.DataFrame({"id_a": pd.array(out_a, dtype="int64"),
                              "id_b": pd.array(out_b, dtype="int64")})
 
-    from tscan_ray.ops.keyed import grouped_apply
+    from tscan_ray.ops.keyed import task_exchange
 
-    cand = grouped_apply(banded, "band_key", bucket_candidates, num_buckets=64)
+    cand = task_exchange(banded, "band_key", bucket_candidates, num_buckets=64)
     # a pair can collide in several bands -> one candidate row
     import ray.data as rd
     import ray.data.aggregate as agg
@@ -393,7 +393,7 @@ def _verify_pairs_exchange(docs, cand, text_col: str, id_col: str,
     import ray.data as rd
 
     from tscan_ray.config import DEFAULT_CONFIG as _CFG
-    from tscan_ray.ops.keyed import grouped_apply
+    from tscan_ray.ops.keyed import task_exchange
 
     num_buckets = _CFG.num_key_buckets
 
@@ -455,7 +455,7 @@ def _verify_pairs_exchange(docs, cand, text_col: str, id_col: str,
                                dtype=object),
         })
 
-    sides = grouped_apply(tagged, "__k__", join_shingles, num_buckets,
+    sides = task_exchange(tagged, "__k__", join_shingles, num_buckets,
                           batch_format="pyarrow")
 
     def verify_bucket(df: pd.DataFrame) -> pd.DataFrame:
@@ -488,7 +488,7 @@ def _verify_pairs_exchange(docs, cand, text_col: str, id_col: str,
                              "id_b": pd.array(out_b, dtype="int64"),
                              "jaccard": pd.array(out_j, dtype="float64")})
 
-    return grouped_apply(sides, "pair_key", verify_bucket, num_buckets)
+    return task_exchange(sides, "pair_key", verify_bucket, num_buckets)
 
 
 def ngram_jaccard(text_a: str, text_b: str, k: int = DEFAULT_CONFIG.shingle_k) -> float:
@@ -562,7 +562,7 @@ def connected_components(
     import ray.data.aggregate as agg
 
     from tscan_ray.config import DEFAULT_CONFIG
-    from tscan_ray.ops.keyed import grouped_apply
+    from tscan_ray.ops.keyed import task_exchange
 
     if num_buckets is None:
         num_buckets = DEFAULT_CONFIG.num_key_buckets
@@ -602,7 +602,7 @@ def connected_components(
         e_t = edges.map_batches(
             lambda df: df.assign(node=-1, label=-1, __side__=np.int8(1)),
             batch_format="pandas")
-        msgs = grouped_apply(l_t.union(e_t), "u", send, num_buckets)
+        msgs = task_exchange(l_t.union(e_t), "u", send, num_buckets)
         folded = (msgs.union(labels)
                   .groupby("node").aggregate(agg.Min("label", alias_name="label"))
                   .materialize())

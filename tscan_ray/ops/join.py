@@ -123,7 +123,7 @@ def exchange_join(
 
     from tscan_ray.config import DEFAULT_CONFIG
     from tscan_ray.ops.asof import _split_sides, _tag_union
-    from tscan_ray.ops.keyed import grouped_apply
+    from tscan_ray.ops.keyed import task_exchange
 
     if how not in ("inner", "left"):
         raise ValueError(how)
@@ -157,5 +157,5 @@ def exchange_join(
                     rdf[c] = rdf[c].astype(nullable_int_dtype(rdf[c].dtype))
         return ldf.merge(rdf.rename(columns=out_rename), on=on, how=how)
 
-    return grouped_apply(both, on, merge, num_buckets,
+    return task_exchange(both, on, merge, num_buckets,
                          batch_format="pyarrow")

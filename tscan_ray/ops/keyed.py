@@ -15,8 +15,6 @@ Dataset API can't deliver:
   its blocks by key hash into B slices) feeding B reduce tasks (concat
   + the user kernel), wired by object refs — every stage fully
   parallel, payload moved exactly once.
-* ``grouped_apply(engine="raydata")`` keeps the Dataset-native
-  ``groupby().map_groups`` plan for comparison / future Ray versions.
 
 Scale notes
 -----------
@@ -37,7 +35,7 @@ Scale notes
 
 from __future__ import annotations
 
-import os
+import gc
 from collections.abc import Callable
 
 import numpy as np
@@ -46,10 +44,11 @@ import pyarrow as pa
 
 import ray
 
-BUCKET_COL = "__bucket__"
 _KNUTH = np.uint64(0x9E3779B97F4A7C15)
 _TARGET_SPLIT_BYTES = 64 * 1024 * 1024
-
+# splits per combine task of the two-level exchange: a combine holds its
+# whole group in heap, so the group is a 512 MiB budget of split bundles
+_COMBINE_GROUP = 512 * 1024 * 1024 // _TARGET_SPLIT_BYTES
 
 
 def _pandas_to_arrow(df) -> pa.Table:
@@ -66,24 +65,29 @@ def _pandas_to_arrow(df) -> pa.Table:
         t = t.replace_schema_metadata(None)
     return t
 
+
+def key_hash(values: np.ndarray) -> np.ndarray:
+    """Deterministic uint64 hash of a key array: Knuth multiplicative for
+    integer keys, pandas' stable siphash for strings / objects."""
+    if np.issubdtype(values.dtype, np.integer):
+        return values.astype(np.uint64, copy=False) * _KNUTH
+    return pd.util.hash_array(np.asarray(values, dtype=object))
+
+
 def bucket_of(values: np.ndarray, num_buckets: int) -> np.ndarray:
     """Deterministic bucket assignment for a key array."""
+    h = key_hash(values)
     if np.issubdtype(values.dtype, np.integer):
-        h = values.astype(np.uint64, copy=False) * _KNUTH
-        return (h >> np.uint64(33)) % np.uint64(num_buckets)
-    # strings / objects: pandas' stable siphash
-    return pd.util.hash_array(np.asarray(values, dtype=object)) % num_buckets
+        h = h >> np.uint64(33)
+    return h % np.uint64(num_buckets)
 
 
-def with_bucket(ds, key: str, num_buckets: int):
-    """Append the ``__bucket__`` column (vectorized, zero-copy Arrow in)."""
-
-    def add(batch: pa.Table) -> pa.Table:
-        vals = batch.column(key).to_numpy(zero_copy_only=False)
-        b = bucket_of(vals, num_buckets).astype(np.int64)
-        return batch.append_column(BUCKET_COL, pa.array(b, type=pa.int64()))
-
-    return ds.map_batches(add, batch_format="pyarrow", zero_copy_batch=True)
+def salted_key(values: np.ndarray, salt: np.ndarray) -> np.ndarray:
+    """int64 exchange key for (key, salt) pairs — spreads one hot key
+    over several buckets (salt = a time-slice index)."""
+    sh = np.asarray(salt).astype(np.uint64) * _KNUTH
+    return ((key_hash(values) ^ (sh >> np.uint64(7)))
+            >> np.uint64(1)).astype(np.int64)
 
 
 def _as_arrow(block) -> pa.Table:
@@ -93,7 +97,7 @@ def _as_arrow(block) -> pa.Table:
 
 
 @ray.remote
-def _split_task(key: str, num_buckets: int, direct: bool, *blocks):
+def _split_task(key: str, num_buckets: int, *blocks):
     """Partition the input blocks by key hash into ``num_buckets`` slices
     (ONE stable sort + searchsorted per task — no per-bucket scan)."""
     tbl = pa.concat_tables([_as_arrow(b) for b in blocks], promote_options="default")
@@ -101,10 +105,7 @@ def _split_task(key: str, num_buckets: int, direct: bool, *blocks):
         empty = tbl.slice(0, 0)
         return tuple(empty for _ in range(num_buckets))
     vals = tbl.column(key).to_numpy(zero_copy_only=False)
-    if direct:
-        b = np.asarray(vals, dtype=np.int64) % num_buckets
-    else:
-        b = bucket_of(vals, num_buckets).astype(np.int64)
+    b = bucket_of(vals, num_buckets).astype(np.int64)
     order = np.argsort(b, kind="stable")
     tbl = tbl.take(pa.array(order))
     bs = b[order]
@@ -119,8 +120,8 @@ def _combine_task(num_buckets: int, *slices):
     GROUP of split tasks' per-bucket slices into one table per bucket.
     ``slices`` is laid out as [split0_b0..split0_bB, split1_b0..] —
     reduce tasks then fan in over ceil(M/group) refs instead of M.  On a
-    multi-node cluster this tier is where node-local combining happens
-    (schedule one combine per node over its local splits)."""
+    multi-node cluster this tier is where node-local combining would
+    happen (one combine per node over its local splits)."""
     n_splits = len(slices) // num_buckets
     out = []
     for b in range(num_buckets):
@@ -158,15 +159,18 @@ def task_exchange(
     key: str,
     fn: Callable,
     num_buckets: int,
-    direct: bool = False,
     batch_format: str = "pandas",
-    combine_scheduling: Callable | None = None,
 ):
-    """Two-stage parallel hash exchange + per-bucket kernel.
+    """Apply a vectorized multi-key kernel to each key-hash bucket
+    (two-stage parallel hash exchange).  Returns a new Dataset of the
+    kernel outputs.
 
-    ``direct=True`` treats the key column's integer values as the
-    partition index (mod B) — used by the resumable sink so bucket K
-    lands in partition K.  Returns a new Dataset of the kernel outputs.
+    ``fn`` receives one bucket (all rows of every entity hashed to it) as
+    a pandas DataFrame (default) or a pyarrow Table
+    (``batch_format="pyarrow"`` — use this when the kernel must control
+    the pandas conversion itself, e.g. to keep int64 columns exact in
+    the presence of union null-padding) and must itself be vectorized
+    across keys (``df.groupby(key)`` transforms, ``merge_asof``, ...).
 
     Streaming: split tasks are submitted as upstream blocks arrive
     (``iter_internal_ref_bundles`` is a generator over the running
@@ -174,27 +178,21 @@ def task_exchange(
     of splits is full — the driver then drops the group's B split refs,
     so driver-held refs stay bounded at ~(group + combines)×B instead
     of M×B, and combining overlaps the tail of the upstream scan.
-
-    ``combine_scheduling``: optional ``group_index -> Ray scheduling
-    strategy`` hook; on a multi-node cluster pass a
-    ``NodeAffinitySchedulingStrategy`` factory so each combine runs on
-    the node that produced its splits (node-local combine tier).
     """
     import ray.data as rd
 
+    # Ray Data's logical operators and executors reference each other, so
+    # the blocks a finished Dataset still points at are freed only by the
+    # cyclic collector.  Collect before this exchange puts a full copy of
+    # its input in the object store, so a process running job after job
+    # does not carry the previous job's blocks into this job's peak.
+    gc.collect()
+
     # two-level exchange: when many split tasks exist, a combine tier
     # concatenates groups of splits per bucket so each reduce fans in
-    # over ceil(M/group) refs instead of M.  A combine task holds its
-    # whole group in heap (group × split-bundle bytes), so the group
-    # size is derived from a byte budget (TSCAN_RAY_COMBINE_BYTES,
-    # default 512 MiB -> group of 8 at the 64 MiB split bundling);
-    # TSCAN_RAY_EXCHANGE_GROUP overrides explicitly (0 disables).
-    budget = int(os.environ.get("TSCAN_RAY_COMBINE_BYTES",
-                                str(512 * 1024 * 1024)))
-    default_group = max(2, budget // _TARGET_SPLIT_BYTES)
-    group = int(os.environ.get("TSCAN_RAY_EXCHANGE_GROUP",
-                               str(default_group)))
-    use_combine = group > 0 and num_buckets > 1
+    # over ceil(M/group) refs instead of M
+    group = _COMBINE_GROUP
+    use_combine = num_buckets > 1
 
     split_group: list = []   # split ref-tuples not yet combined
     combined: list = []      # combine ref-tuples (final reduce inputs)
@@ -209,12 +207,9 @@ def task_exchange(
 
     def submit_combine():
         nonlocal n_combines
-        opts: dict = {"num_returns": num_buckets}
-        if combine_scheduling is not None:
-            opts["scheduling_strategy"] = combine_scheduling(len(combined))
         flat = [r for split in split_group for r in split]
-        combined.append(
-            _combine_task.options(**opts).remote(num_buckets, *flat))
+        combined.append(_combine_task.options(
+            num_returns=num_buckets).remote(num_buckets, *flat))
         split_group.clear()
         n_combines += 1
 
@@ -223,7 +218,7 @@ def task_exchange(
         if pending_refs:
             split_group.append(
                 _split_task.options(num_returns=num_buckets).remote(
-                    key, num_buckets, direct, *pending_refs
+                    key, num_buckets, *pending_refs
                 )
             )
             pending_refs, pending_bytes = [], 0
@@ -287,46 +282,6 @@ def task_exchange(
         for b in range(num_buckets)
     ]
     return rd.from_arrow_refs(outs)
-
-
-def grouped_apply(
-    ds,
-    key: str,
-    fn: Callable[[pd.DataFrame], pd.DataFrame],
-    num_buckets: int,
-    engine: str | None = None,
-    batch_format: str = "pandas",
-):
-    """Apply a vectorized multi-key kernel to each key-hash bucket.
-
-    ``fn`` receives one bucket (all rows of every entity hashed to it) as
-    a pandas DataFrame (default) or a pyarrow Table
-    (``batch_format="pyarrow"`` — use this when the kernel must control
-    the pandas conversion itself, e.g. to keep int64 columns exact in
-    the presence of union null-padding) and must itself be vectorized
-    across keys (``df.groupby(key)`` transforms, ``merge_asof``, ...).
-
-    ``engine``: "tasks" (default; parallel task shuffle) or "raydata"
-    (``groupby().map_groups`` — serial exchange on this Ray build, kept
-    for comparison).  Env override: ``TSCAN_RAY_EXCHANGE``.
-    """
-    engine = engine or os.environ.get("TSCAN_RAY_EXCHANGE", "tasks")
-
-    def wrapper(batch):
-        out = fn(batch)
-        if BUCKET_COL in getattr(out, "columns", ()):
-            out = out.drop(columns=[BUCKET_COL])
-        elif isinstance(out, pa.Table) and BUCKET_COL in out.column_names:
-            out = out.drop_columns([BUCKET_COL])
-        return out
-
-    if engine == "raydata":
-        bucketed = with_bucket(ds, key, num_buckets)
-        return bucketed.groupby(BUCKET_COL).map_groups(
-            wrapper, batch_format=batch_format
-        )
-    return task_exchange(ds, key, wrapper, num_buckets,
-                         batch_format=batch_format)
 
 
 def schema_pandas_dtypes(schema) -> pd.Series:

@@ -23,7 +23,7 @@ import numpy as np
 import pandas as pd
 
 from tscan_ray.config import DEFAULT_CONFIG
-from tscan_ray.ops.keyed import grouped_apply
+from tscan_ray.ops.keyed import salted_key, task_exchange
 
 
 def _sort_cols(key: str, ts: str, order_col: str | None) -> list[str]:
@@ -67,7 +67,7 @@ def lag_lead(
                 df[c + name] = g[c].shift(k)
         return df
 
-    return grouped_apply(ds, key, fn, num_buckets)
+    return task_exchange(ds, key, fn, num_buckets)
 
 
 def fill(
@@ -91,7 +91,7 @@ def fill(
             df[c + suffix] = g[c].ffill() if method == "ffill" else g[c].bfill()
         return df
 
-    return grouped_apply(ds, key, fn, num_buckets)
+    return task_exchange(ds, key, fn, num_buckets)
 
 
 def sessionize(
@@ -116,7 +116,7 @@ def sessionize(
         df[out_col] = new_session.groupby(df[key], sort=False).cumsum().astype("int64") - 1
         return df
 
-    return grouped_apply(ds, key, fn, num_buckets)
+    return task_exchange(ds, key, fn, num_buckets)
 
 
 def session_stats(
@@ -150,7 +150,7 @@ def session_stats(
         )
         return out
 
-    return grouped_apply(ds, key, fn, num_buckets)
+    return task_exchange(ds, key, fn, num_buckets)
 
 
 def tumbling_window(
@@ -177,7 +177,7 @@ def tumbling_window(
         )
         return out
 
-    return grouped_apply(ds, key, fn, num_buckets)
+    return task_exchange(ds, key, fn, num_buckets)
 
 
 def rolling_text_diversity(
@@ -205,7 +205,7 @@ def rolling_text_diversity(
         df = df.sort_values(_sort_cols(key, ts, order_col), kind="mergesort")
         return rolling_diversity_frame(df, key, text_col, window)
 
-    return grouped_apply(ds, key, fn, num_buckets)
+    return task_exchange(ds, key, fn, num_buckets)
 
 
 def rolling_diversity_frame(df: pd.DataFrame, key: str, text_col: str,
@@ -291,7 +291,7 @@ def rolling_mean(
             )
         return df
 
-    return grouped_apply(ds, key, fn, num_buckets)
+    return task_exchange(ds, key, fn, num_buckets)
 
 
 def expanding_agg(
@@ -341,7 +341,7 @@ def expanding_agg(
         df[value_col + "_cmax"] = cmax
         return df
 
-    return grouped_apply(ds, key, fn, num_buckets)
+    return task_exchange(ds, key, fn, num_buckets)
 
 
 def topn_per_key(
@@ -379,7 +379,7 @@ def topn_per_key(
         df[rank_col] = df.groupby(key, sort=False).cumcount() + 1
         return df[df[rank_col] <= n]
 
-    return grouped_apply(pruned, key, fn, num_buckets)
+    return task_exchange(pruned, key, fn, num_buckets)
 
 
 def sliding_window(
@@ -422,7 +422,7 @@ def sliding_window(
                .reset_index())
         return out
 
-    return grouped_apply(ds, key, fn, num_buckets)
+    return task_exchange(ds, key, fn, num_buckets)
 
 
 def _time_rolling_kernel(micros: np.ndarray, vals: np.ndarray,
@@ -519,9 +519,7 @@ def rolling_time_agg(
             df = df.sort_values([key, ts], kind="mergesort")
             return compute(df, [df[key].to_numpy()])
 
-        return grouped_apply(ds, key, fn, num_buckets)
-
-    from tscan_ray.ops.keyed import _KNUTH, task_exchange
+        return task_exchange(ds, key, fn, num_buckets)
 
     def replicate(df: pd.DataFrame) -> pd.DataFrame:
         micros = _ts_us(df[ts]).to_numpy()
@@ -531,13 +529,7 @@ def rolling_time_agg(
         df = df.assign(**{_SLICE: slc, _CTX: np.int8(0)})
         ctx = ctx.assign(**{_SLICE: slc[ctx_mask] + 1, _CTX: np.int8(1)})
         out = pd.concat([df, ctx], ignore_index=True)
-        kv = out[key].to_numpy()
-        if np.issubdtype(kv.dtype, np.integer):
-            kh = kv.astype(np.uint64) * _KNUTH
-        else:
-            kh = pd.util.hash_array(np.asarray(kv, dtype=object))
-        sh = (out[_SLICE].to_numpy().astype(np.uint64) + np.uint64(1)) * _KNUTH
-        out[_SKEY] = ((kh ^ (sh >> np.uint64(7))) >> np.uint64(1)).astype(np.int64)
+        out[_SKEY] = salted_key(out[key].to_numpy(), out[_SLICE].to_numpy() + 1)
         return out
 
     replicated = ds.map_batches(replicate, batch_format="pandas")
@@ -592,7 +584,7 @@ def expanding_znorm(
         df[value_col + "_zexp"] = z
         return df
 
-    return grouped_apply(ds, key, fn, num_buckets)
+    return task_exchange(ds, key, fn, num_buckets)
 
 
 def rolling_time_distinct(
@@ -646,4 +638,4 @@ def rolling_time_distinct(
         df[out_col] = out
         return df
 
-    return grouped_apply(ds, key, fn, num_buckets)
+    return task_exchange(ds, key, fn, num_buckets)

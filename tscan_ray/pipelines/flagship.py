@@ -2,8 +2,9 @@
 point-in-time-enriched feature table.
 
     documents ──synth──▶ images(image_id bytes w h fmt caption phash entity_id ts)
-        │ decode+validate (PSNR>=40, ahash, drop bytes BEFORE any shuffle)
-        │ caption featurizer (T-scan vector, actor pool, no shuffle)
+        │ (or a pre-materialized images table read from ``images_path``)
+        │ ONE fused actor pool: decode+validate (PSNR>=40, ahash, drop
+        │ bytes BEFORE any shuffle) → caption featurizer (T-scan vector)
         ▼
     timeline layer — ONE keyed exchange computing, per entity ordered by ts:
         lag-1 of selected features (strictly past), trailing rolling mean,
@@ -12,7 +13,7 @@ point-in-time-enriched feature table.
         right side ⊆ left rows, so the as-of reduces to a marked-row
         forward fill inside the same bucket UDF)
         ▼
-    write_parquet partitioned output (resumable layout)
+    state.manifest.resumable_write (key-hash partitions + manifests)
 
 Scale shape: exactly ONE all-to-all exchange, carrying only the narrow
 feature columns (binary payload dropped at decode).  Everything else
@@ -24,10 +25,9 @@ from __future__ import annotations
 import pandas as pd
 
 from tscan_ray.config import DEFAULT_CONFIG, EngineConfig
-from tscan_ray.ops.keyed import grouped_apply
+from tscan_ray.ops.keyed import salted_key, task_exchange
 from tscan_ray.sources.images import synth_images
-from tscan_ray.stages.decode import decode_validate
-from tscan_ray.stages.featurizer import featurize
+from tscan_ray.stages.featurizer import cluster_cpus, pool_size
 
 # features carried into the timeline layer (keep the shuffle narrow)
 TIMELINE_FEATURES = ["MTLD_wrd", "TTR_wrd", "Wrd_freq_log", "wordCnt"]
@@ -41,15 +41,14 @@ class DecodeFeaturize:
 
     def __init__(self, cfg: EngineConfig = DEFAULT_CONFIG,
                  n_entities: int | None = 50,
-                 keep_columns: list[str] | None = None, lm_ref=None):
+                 keep_columns: list[str] | None = None):
         from tscan_ray.stages.decode import DecodeValidate
         from tscan_ray.stages.featurizer import CaptionFeaturizer
 
         self.decoder = DecodeValidate(cfg=cfg, drop_bytes=True,
                                       n_entities=n_entities)
         self.featurizer = CaptionFeaturizer(text_column="caption", cfg=cfg,
-                                            keep_columns=keep_columns,
-                                            lm_ref=lm_ref)
+                                            keep_columns=keep_columns)
 
     def __call__(self, batch):
         return self.featurizer(self.decoder(batch))
@@ -125,7 +124,7 @@ def add_timeline_features(
                 df[c + "_snap"] = df.groupby(key, sort=False)[c + "_snap"].ffill()
         return df
 
-    return grouped_apply(ds, key, fn, num_buckets or cfg.num_key_buckets)
+    return task_exchange(ds, key, fn, num_buckets or cfg.num_key_buckets)
 
 
 def add_timeline_features_sliced(
@@ -175,8 +174,6 @@ def add_timeline_features_sliced(
     import numpy as np
     import ray
 
-    from tscan_ray.ops.keyed import _KNUTH, task_exchange
-
     gap_us = cfg.session_gap_us
     # context span: must cover the last max(rolling, diversity)-1 rows
     # of a hot key plus the session gap; defaults to one full slice
@@ -196,13 +193,8 @@ def add_timeline_features_sliced(
         return df[order_col].str.slice(4).astype("int64") // (n_entities or 1)
 
     def _salt(df: pd.DataFrame) -> pd.DataFrame:
-        kv = df[key].to_numpy()
-        if np.issubdtype(kv.dtype, np.integer):
-            kh = kv.astype(np.uint64) * _KNUTH
-        else:
-            kh = pd.util.hash_array(np.asarray(kv, dtype=object))
-        sh = (df["__slc__"].to_numpy().astype(np.uint64) + np.uint64(2)) * _KNUTH
-        df["__skey__"] = ((kh ^ (sh >> np.uint64(7))) >> np.uint64(1)).astype(np.int64)
+        df["__skey__"] = salted_key(df[key].to_numpy(),
+                                    df["__slc__"].to_numpy() + 2)
         return df
 
     # ---- phase 1: narrow summaries ------------------------------------
@@ -373,8 +365,6 @@ def amplify_docs(docs, sf_dir: str, amplify: int):
     so downstream codec work fans out."""
     import pyarrow.parquet as pq
 
-    import ray as _ray
-
     if amplify <= 1:
         return docs
     n0 = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
@@ -391,9 +381,21 @@ def amplify_docs(docs, sf_dir: str, amplify: int):
                 pc.add(batch.column("doc_id"), pa.scalar(r * n0))))
         return pa.concat_tables(copies)
 
-    cpus = int(_ray.cluster_resources().get("CPU", 8)) if _ray.is_initialized() else 8
     return docs.map_batches(replicate, batch_format="pyarrow",
-                            zero_copy_batch=True).repartition(cpus * 4)
+                            zero_copy_batch=True).repartition(
+                                cluster_cpus() * 4)
+
+
+def synthesized_images(sf_dir: str, n_entities: int = 50, amplify: int = 1,
+                       cfg: EngineConfig = DEFAULT_CONFIG):
+    """The image+caption table synthesized from
+    ``{sf_dir}/documents.parquet`` (every value a pure function of
+    doc_id, so it equals a table materialized from the same call)."""
+    from tscan_ray.sources.io import read_table
+
+    docs = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    return synth_images(amplify_docs(docs, sf_dir, amplify),
+                        n_entities=n_entities, cfg=cfg)
 
 
 def materialize_images(
@@ -405,35 +407,25 @@ def materialize_images(
 ) -> str:
     """Synthesize the image+caption table to parquet (benchmark setup /
     fixture generation — NOT part of the timed pipeline)."""
-    import pyarrow.parquet as pq  # noqa: F401 (amplify_docs reads metadata)
-
-    import ray.data as rd
-
-    from tscan_ray.sources.io import read_table
-    docs = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    docs = amplify_docs(docs, sf_dir, amplify)
-    if amplify <= 1:
-        import ray as _ray
-
-        cpus = int(_ray.cluster_resources().get("CPU", 8)) if _ray.is_initialized() else 8
-        docs = docs.repartition(cpus * 4)
-    synth_images(docs, n_entities=n_entities, cfg=cfg).write_parquet(out_path)
+    images = synthesized_images(sf_dir, n_entities, amplify, cfg)
+    if amplify <= 1:  # amplify_docs already re-split the amplified docs
+        images = images.repartition(cluster_cpus() * 4)
+    images.write_parquet(out_path)
     return out_path
 
 
 def flagship(
-    sf_dir: str,
+    sf_dir: str | None,
     n_entities: int = 50,
     cfg: EngineConfig = DEFAULT_CONFIG,
     snapshot_every: int = 5,
     num_buckets: int | None = None,
-    write_to: str | None = None,
-    featurizer_concurrency=None,
     amplify: int = 1,
     images_path: str | None = None,
     hot_slice_us: int | None = None,
 ):
-    """Run the full pipeline over {sf_dir}/documents.parquet.
+    """Run the full pipeline over {sf_dir}/documents.parquet and return
+    the enriched Dataset (feed it to ``state.manifest.resumable_write``).
 
     ``amplify=K`` deterministically replicates the input K× with fresh
     doc_ids (every synthesized value is a pure function of doc_id) — used
@@ -443,78 +435,30 @@ def flagship(
     ``images_path``: read a pre-materialized images table (parquet dir)
     instead of synthesizing inline — the production shape, where the
     pipeline is read → decode/validate → featurize → timeline → sink and
-    data generation is not on the clock.
-
-    Returns the enriched Dataset (or writes partitioned parquet when
-    ``write_to`` is given and returns the path)."""
-    import pyarrow.parquet as pq
-
-    import ray.data as rd
-
-    # CPU budget across the two actor-pool stages (actors RESERVE their
-    # CPU; FIXED pools — autoscaling ramps one actor at a time and leaves
-    # the stage serial on short runs).  Shares follow measured per-row
-    # cost: featurize ~2.9 ms, decode+validate ~2.2 ms, synth ~0.8 ms →
-    # featurizer ~45%, decode ~35%, remainder for read/synth/shuffle
-    # tasks.  A pool sized to all CPUs starves the producers.
-    explicit_concurrency = featurizer_concurrency is not None
-    if featurizer_concurrency is None:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        featurizer_concurrency = max(1, int(cpus * 0.5))
-        decode_concurrency = max(1, int(cpus * 0.4))
-    else:
-        decode_concurrency = (1, 8)
-
+    data generation is not on the clock.  Both sources feed the same
+    stages and give the same rows."""
     if images_path is not None:
         from tscan_ray.sources.io import read_table
 
         images = read_table(images_path)  # Lance when available, else parquet
-        # ONE fused decode+featurize pool: both stages are pure per-row
-        # CPU, so splitting them bought nothing but a second pool's
-        # process-spawn/import cost and an extra object-store handoff of
-        # every row.  Fusing cuts the fixed startup that dominates the
-        # strong-scaling denominator (BASELINE.md).
-        from tscan_ray.stages.featurizer import pool_size
-
-        feats = images.map_batches(
-            DecodeFeaturize,
-            fn_constructor_kwargs={"cfg": cfg, "n_entities": n_entities,
-                                   "keep_columns": KEEP_COLS},
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=cfg.featurizer_batch_size,
-            concurrency=(featurizer_concurrency if explicit_concurrency
-                         else pool_size()),
-        )
-        nb = num_buckets or cfg.num_key_buckets
-        enriched = add_timeline_features(
-            feats, cfg=cfg, num_buckets=nb,
-            snapshot_every=snapshot_every, n_entities=n_entities,
-            hot_slice_us=hot_slice_us,
-        )
-        if write_to:
-            enriched.write_parquet(write_to)
-            return write_to
-        return enriched
-
-    from tscan_ray.sources.io import read_table
-    docs = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    docs = amplify_docs(docs, sf_dir, amplify)
-    images = synth_images(docs, n_entities=n_entities, cfg=cfg)
-    validated = decode_validate(images, cfg=cfg, drop_bytes=True,
-                                n_entities=n_entities,
-                                concurrency=decode_concurrency)
-    feats = featurize(validated, "caption", cfg=cfg,
-                      concurrency=featurizer_concurrency,
-                      keep_columns=KEEP_COLS)
-    nb = num_buckets or cfg.num_key_buckets
-    enriched = add_timeline_features(
-        feats, cfg=cfg, num_buckets=nb, hot_slice_us=hot_slice_us,
-        snapshot_every=snapshot_every, n_entities=n_entities,
+    else:
+        images = synthesized_images(sf_dir, n_entities, amplify, cfg)
+    # ONE fused decode+featurize pool: both stages are pure per-row CPU,
+    # so splitting them bought nothing but a second pool's process-spawn/
+    # import cost and an extra object-store handoff of every row.  Fusing
+    # cuts the fixed startup that dominates the strong-scaling
+    # denominator (BASELINE.md).
+    feats = images.map_batches(
+        DecodeFeaturize,
+        fn_constructor_kwargs={"cfg": cfg, "n_entities": n_entities,
+                               "keep_columns": KEEP_COLS},
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        batch_size=cfg.featurizer_batch_size,
+        concurrency=pool_size(),
     )
-    if write_to:
-        enriched.write_parquet(write_to)
-        return write_to
-    return enriched
+    return add_timeline_features(
+        feats, cfg=cfg, num_buckets=num_buckets or cfg.num_key_buckets,
+        snapshot_every=snapshot_every, n_entities=n_entities,
+        hot_slice_us=hot_slice_us,
+    )

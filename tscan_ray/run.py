@@ -94,8 +94,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="ray.init num_cpus (default: let Ray detect)")
     p.add_argument("--num-buckets", type=int, default=64)
     p.add_argument("--n-entities", type=int, default=50)
-    p.add_argument("--concurrency", type=int, default=8,
-                   help="featurizer actor-pool max size")
     p.add_argument("--stdin", action="store_true",
                    help="incremental mode: read input file names from "
                         "stdin (reference -S)")
@@ -131,7 +129,6 @@ def main(argv: list[str] | None = None) -> int:
         args.sf_dir,
         n_entities=args.n_entities,
         num_buckets=args.num_buckets,
-        featurizer_concurrency=(1, args.concurrency),
     )
     summary = resumable_write(
         enriched, args.out, key="entity_id", num_buckets=args.num_buckets,

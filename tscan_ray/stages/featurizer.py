@@ -36,12 +36,16 @@ from tscan_ray.text.features import feature_names, featurize_document
 from tscan_ray.text.lexicons import default_lexicons
 
 
+def cluster_cpus() -> int:
+    """CPUs of the current Ray session (8 when none is running)."""
+    return int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+
+
 def pool_size(cap: int = 32, headroom: int = 2) -> int:
     """Fixed actor-pool size that fits the current session: cluster CPUs
     minus headroom for read/shuffle tasks (an actor RESERVES its CPU for
     life — a pool equal to all CPUs starves every other stage)."""
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return max(1, min(cap, cpus - headroom))
+    return max(1, min(cap, cluster_cpus() - headroom))
 
 
 class CaptionFeaturizer:

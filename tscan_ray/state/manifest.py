@@ -15,8 +15,8 @@ generalizes it to partition-granular output manifests:
 * the manifest is written AFTER its data file, so a manifest's presence
   proves the partition is complete;
 * resume = re-run the same call: completed partitions are filtered out
-  BEFORE the shuffle by bucket id (cheap vectorized mask), so a restart
-  only pays for missing partitions.
+  by bucket id in the shard writer (cheap vectorized mask, same UDF
+  that buckets the rows), so a restart writes only missing partitions.
 
 Partitioning is by deterministic key-hash bucket (ops/keyed.py) — the
 same bucketing the timeline operators use.
@@ -48,7 +48,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from tscan_ray.ops.keyed import BUCKET_COL, with_bucket
+from tscan_ray.ops.keyed import bucket_of
 
 SHARD_DIR = "_shards"
 
@@ -98,8 +98,7 @@ def resumable_write(
     already recorded complete in ``out_dir/_manifest``.
 
     Returns a summary frame (partition, rows, wall_s, checksum) of the
-    partitions written in THIS run; already-complete ones are skipped
-    before the shuffle.
+    partitions written in THIS run; already-complete ones are skipped.
     """
     os.makedirs(os.path.join(out_dir, MANIFEST_DIR), exist_ok=True)
     done = completed_partitions(out_dir)
@@ -123,24 +122,14 @@ def resumable_write(
 
     import ray
 
-    bucketed = with_bucket(ds, key, num_buckets)
-    if done:
-        done_arr = np.array(sorted(done), dtype=np.int64)
-
-        def drop_done(t: pa.Table) -> pa.Table:
-            mask = pa.compute.invert(pa.compute.is_in(
-                t.column(BUCKET_COL), value_set=pa.array(done_arr)))
-            return t.filter(mask)
-
-        bucketed = bucketed.map_batches(drop_done, batch_format="pyarrow",
-                                        zero_copy_batch=True)
-
+    done_arr = np.array(sorted(done), dtype=np.int64)
     summary_cols = {"partition": "int64", "rows": "int64",
                     "wall_s": "float64", "checksum": "int64"}
 
-    # phase 1: spill shards — one file per upstream block, rows sorted
-    # by bucket, ONE row group per bucket present.  The wide payload
-    # goes straight to storage; only pointers leave the task.
+    # phase 1: spill shards — one file per upstream block, completed
+    # buckets dropped, rows sorted by bucket, ONE row group per bucket
+    # present.  The wide payload goes straight to storage; only pointers
+    # (which carry the bucket) leave the task.
     shard_dir = os.path.join(out_dir, SHARD_DIR)
     shutil.rmtree(shard_dir, ignore_errors=True)  # stale kills' leftovers
     os.makedirs(shard_dir, exist_ok=True)
@@ -151,10 +140,14 @@ def resumable_write(
     def write_shard(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return ptr_schema.empty_table()
-        order = pa.compute.sort_indices(t.column(BUCKET_COL))
-        t = t.take(order).replace_schema_metadata(None)
-        bcol = t.column(BUCKET_COL).to_numpy(zero_copy_only=False)
-        buckets, starts = np.unique(bcol, return_index=True)
+        b = bucket_of(t.column(key).to_numpy(zero_copy_only=False),
+                      num_buckets).astype(np.int64)
+        keep = ~np.isin(b, done_arr)
+        if not keep.any():
+            return ptr_schema.empty_table()
+        order = np.flatnonzero(keep)[np.argsort(b[keep], kind="stable")]
+        t = t.take(pa.array(order)).replace_schema_metadata(None)
+        buckets, starts = np.unique(b[order], return_index=True)
         bounds = np.append(starts, t.num_rows)
         path = os.path.join(shard_dir, f"shard-{uuid.uuid4().hex}.parquet")
         tmp = f"{path}.tmp"
@@ -172,7 +165,7 @@ def resumable_write(
 
     # the pointer frame is the barrier AND the only driver
     # materialization: <= shards × buckets tiny rows (path strings)
-    pointers = bucketed.map_batches(
+    pointers = ds.map_batches(
         write_shard, batch_format="pyarrow", zero_copy_batch=True,
         batch_size=None).to_pandas()
 
@@ -207,7 +200,7 @@ def _finalize_partition(out_dir: str, k: int, path_rgs: list,
     parts = [pq.ParquetFile(p).read_row_groups(sorted(rgs))
              for p, rgs in by_path.items()]
     table = pa.concat_tables(parts, promote_options="default")
-    df = table.to_pandas().drop(columns=[BUCKET_COL])
+    df = table.to_pandas()
     path = _part_path(out_dir, k)
     tmp = f"{path}.tmp.{os.getpid()}"
     df.to_parquet(tmp, index=False)

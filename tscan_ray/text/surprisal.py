@@ -131,7 +131,7 @@ def fit_bigram_lm(ds, text_col: str, min_count: int = 1) -> BigramLM:
     import pandas as pd
     import pyarrow as pa
 
-    from tscan_ray.ops.keyed import grouped_apply
+    from tscan_ray.ops.keyed import task_exchange
     from tscan_ray.text.tokenize import is_punct, segment
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -163,7 +163,7 @@ def fit_bigram_lm(ds, text_col: str, min_count: int = 1) -> BigramLM:
             return df
         return df.groupby("gram", sort=False)["n"].sum().reset_index()
 
-    totals = grouped_apply(partials, "gram", fold, num_buckets=32)
+    totals = task_exchange(partials, "gram", fold, num_buckets=32)
     if min_count > 1:
         totals = totals.filter(expr=f"n >= {min_count}")
     unigrams: dict[str, int] = {}

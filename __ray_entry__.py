@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -103,25 +104,21 @@ def q_pit_lag_lead(sf_dir):
                                "value_lag2", "value_lead1", "value_lead2"])
 
 
-def q_pit_ffill(sf_dir):
+def _pit_fill(sf_dir, method):
+    """``method``-fill of the purchase values (views masked to null) per
+    user, in (ts, event_id) order."""
+    import pyarrow.compute as pc
+
     from tscan_ray.ops.window import fill
 
-    masked = _events(sf_dir).map_batches(
-        lambda df: df.assign(pv=df["value"].where(df["event_type"] == "purchase")),
-        batch_format="pandas",
-    )
-    out = fill(masked, "user_id", "ts", ["pv"], method="ffill", order_col="event_id")
-    return out.select_columns(["event_id", "user_id", "pv_filled"])
+    def mask(t: pa.Table) -> pa.Table:
+        pv = pc.if_else(pc.equal(t["event_type"], "purchase"), t["value"],
+                        pa.scalar(None, t["value"].type))
+        return t.append_column("pv", pv)
 
-
-def q_pit_bfill(sf_dir):
-    from tscan_ray.ops.window import fill
-
-    masked = _events(sf_dir).map_batches(
-        lambda df: df.assign(pv=df["value"].where(df["event_type"] == "purchase")),
-        batch_format="pandas",
-    )
-    out = fill(masked, "user_id", "ts", ["pv"], method="bfill", order_col="event_id")
+    masked = _events(sf_dir).map_batches(mask, batch_format="pyarrow",
+                                         zero_copy_batch=True)
+    out = fill(masked, "user_id", "ts", ["pv"], method=method, order_col="event_id")
     return out.select_columns(["event_id", "user_id", "pv_filled"])
 
 
@@ -1011,8 +1008,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "pit_rolling_time_mean_sliced": q_pit_rolling_time_mean_sliced,
         "pit_expanding_znorm": q_pit_expanding_znorm,
         "pit_lag_lead": q_pit_lag_lead,
-        "pit_ffill": q_pit_ffill,
-        "pit_bfill": q_pit_bfill,
+        "pit_ffill": partial(_pit_fill, method="ffill"),
+        "pit_bfill": partial(_pit_fill, method="bfill"),
         "pit_rolling_mean": q_pit_rolling_mean,
         "pit_sessionize": q_pit_sessionize,
         "pit_session_stats": q_pit_session_stats,

@@ -133,26 +133,30 @@ class TestWindowedDiversity:
                 assert abs(row["ttr_w5"] - expected) < 1e-12
 
 
-class TestSlicedTimeline:
-    """Skew-hardened (entity, ts-slice) timeline == whole-entity timeline
-    on a Zipf-hot fixture (VERDICT r3 #3)."""
+class TestTimelineExactness:
+    """The timeline kernel against a plain per-entity reference on a hot,
+    gapped entity (7: a dense run, a lone row between two 3 h gaps,
+    another run) plus sparse cold entities (1..5), fed in shuffled
+    order."""
 
-    def _fixture(self):
-        import pandas as pd
-        import ray.data as rd
+    WINDOW = 5
 
+    def _fixture(self) -> pd.DataFrame:
         rng = np.random.default_rng(11)
         vocab = ["de", "kat", "hond", "loopt", "snel", "huis", "groot",
                  "boek", "stad", "werkt", "mooi", "klein"]
+        minute = 60_000_000
+        hot = ([minute] * 300 + [180 * minute]  # run, gap, lone row
+               + [180 * minute] + [minute] * 299)  # gap, run
+        # cold steps straddle the 30 min session gap (30 min is NOT a break)
+        cold = [10 * minute, 30 * minute, 31 * minute, 120 * minute] * 3
         rows = []
-        img = 0
-        # hot entity 7: 400 dense rows (many per hour-slice); cold
-        # entities 1..5: 12 sparse rows each
-        for ent, n, step_us in [(7, 400, 120_000_000)] + [
-                (e, 12, 7_200_000_000) for e in range(1, 6)]:
+        img = 1  # the hot entity's first rows precede its first snapshot
+        for ent, steps in [(7, hot)] + [(e, cold) for e in range(1, 6)]:
             t = 0
-            for i in range(n):
-                t += int(step_us * (0.5 + (i % 3) * 0.5))
+            for i, step in enumerate(steps):
+                # one tie per entity: row 2 repeats row 1's ts
+                t += 0 if i == 2 else step
                 rows.append({
                     "image_id": f"img_{img:07d}",
                     "entity_id": ent,
@@ -167,39 +171,81 @@ class TestSlicedTimeline:
                 img += 1
         df = pd.DataFrame(rows)
         df["ts"] = pd.to_datetime(df["ts"], unit="us")
-        return rd.from_pandas(df).repartition(8)
+        return df
 
-    def test_sliced_equals_unsliced(self, ray_session):
+    def _reference(self, df: pd.DataFrame, snapshot_every: int,
+                   gap_us: int) -> pd.DataFrame:
+        from tscan_ray.pipelines.flagship import TIMELINE_FEATURES
+        from tscan_ray.text.kernels import average_mtld, ttr
+        from tscan_ray.text.tokenize import is_punct, tokenize
+
+        w = self.WINDOW
+        out = []
+        for _, g in df.sort_values(["entity_id", "ts", "image_id"]).groupby(
+                "entity_id", sort=True):
+            g = g.reset_index(drop=True)
+            ts_us = g["ts"].astype("datetime64[us]").astype("int64").tolist()
+            toks = [[t.lower() for t in tokenize(c) if not is_punct(t)]
+                    for c in g["caption"]]
+            is_snap = [int(i[4:]) % snapshot_every == 0 for i in g["image_id"]]
+            for c in TIMELINE_FEATURES:
+                x = g[c].astype("float64").tolist()
+                g[c + "_lag1"] = [np.nan] + x[:-1]
+                g[c + f"_rmean{w}"] = [np.mean(x[max(0, i - w + 1):i + 1])
+                                       for i in range(len(x))]
+            sid, session = [], -1
+            for i, t in enumerate(ts_us):
+                if i == 0 or t - ts_us[i - 1] > gap_us:
+                    session += 1
+                sid.append(session)
+            g["session_id"] = sid
+            win = [sum(toks[max(0, i - w + 1):i + 1], [])
+                   for i in range(len(g))]
+            g[f"ttr_w{w}"] = [ttr(t) for t in win]
+            g[f"mtld_w{w}"] = [average_mtld(t) for t in win]
+            last = None
+            snap_rows = []
+            for i in range(len(g)):
+                if is_snap[i]:
+                    last = i
+                snap_rows.append(last)
+            g["ts_snap"] = [g["ts"][j] if j is not None else pd.NaT
+                            for j in snap_rows]
+            for c in TIMELINE_FEATURES:
+                g[c + "_snap"] = [float(g[c][j]) if j is not None else np.nan
+                                  for j in snap_rows]
+            out.append(g)
+        return pd.concat(out, ignore_index=True)
+
+    def test_matches_per_entity_reference(self, ray_session):
+        from tscan_ray.config import DEFAULT_CONFIG
         from tscan_ray.pipelines.flagship import (
-            add_timeline_features, add_timeline_features_sliced)
+            TIMELINE_FEATURES, add_timeline_features)
 
-        ds = self._fixture()
-        kw = dict(key="entity_id", ts="ts", order_col="image_id",
-                  rolling_window=5, snapshot_every=5, n_entities=1,
-                  diversity_window=5, num_buckets=8)
-        base = add_timeline_features(self._fixture(), **kw).to_pandas()
-        sliced = add_timeline_features_sliced(
-            ds, slice_us=3_600_000_000, hot_min_rows=100, **kw).to_pandas()
-        key_cols = ["image_id"]
-        b = base.sort_values(key_cols).reset_index(drop=True)
-        s = sliced.sort_values(key_cols).reset_index(drop=True)
-        assert sorted(b.columns) == sorted(s.columns)
-        s = s[b.columns]
-        pd.testing.assert_frame_equal(b, s, check_like=True)
+        df = self._fixture()
+        hot = df[df["entity_id"] == 7]
+        assert len(hot) == 601
+        assert (hot["ts"].diff() > pd.Timedelta(hours=1)).sum() == 2
+        shuffled = df.sample(frac=1.0, random_state=3).reset_index(drop=True)
+        out = add_timeline_features(
+            rd.from_pandas(shuffled).repartition(8), rolling_window=self.WINDOW,
+            snapshot_every=5, n_entities=1, diversity_window=self.WINDOW,
+            num_buckets=8).to_pandas()
+        ref = self._reference(df, 5, DEFAULT_CONFIG.session_gap_us)
+        assert len(out) == len(ref) == len(df)
+        out = out.set_index("image_id").loc[ref["image_id"]].reset_index()
 
-    def test_hot_entity_spreads_over_buckets(self, ray_session):
-        """The hot entity's rows must land in MANY distinct exchange
-        groups (the point of the salting)."""
-        from tscan_ray.pipelines.flagship import add_timeline_features_sliced
-
-        out = add_timeline_features_sliced(
-            self._fixture(), key="entity_id", ts="ts",
-            order_col="image_id", rolling_window=5, snapshot_every=None,
-            diversity_window=None, num_buckets=8,
-            slice_us=3_600_000_000, hot_min_rows=100).to_pandas()
-        assert len(out) == 400 + 5 * 12
-        # sanity: session ids of the hot entity are globally consistent
-        hot = out[out["entity_id"] == 7].sort_values("image_id")
-        sid = hot["session_id"].to_numpy()
-        assert sid[0] == 0
-        assert (np.diff(sid) >= 0).all()
+        w = self.WINDOW
+        checked = [f"ttr_w{w}", f"mtld_w{w}"] + [
+            c + sfx for c in TIMELINE_FEATURES
+            for sfx in ("_lag1", f"_rmean{w}", "_snap")]
+        for col in checked:
+            np.testing.assert_allclose(
+                out[col].to_numpy(dtype="float64"),
+                ref[col].to_numpy(dtype="float64"),
+                rtol=1e-12, atol=0, equal_nan=True, err_msg=col)
+        assert out["session_id"].tolist() == ref["session_id"].tolist()
+        assert ref["session_id"][ref["entity_id"] == 7].max() == 2
+        pd.testing.assert_series_equal(
+            pd.to_datetime(out["ts_snap"]).astype("datetime64[us]"),
+            pd.to_datetime(ref["ts_snap"]).astype("datetime64[us]"))

@@ -1,0 +1,54 @@
+"""Every top-level function and class in the library has a user: a
+definition that no code, tool, benchmark or test names is dead code."""
+
+import ast
+import pathlib
+import re
+from collections import Counter
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+OTHER_DIRS = ("tools", "perfbench", "tests")
+OTHER_FILES = ("__ray_entry__.py", "bench.py")
+WORD = re.compile(r"\w+")
+
+
+def _dead_defs(pkg: dict[str, str], others: list[str]) -> list[str]:
+    """Top-level def/class names in ``pkg`` (path -> source) that appear,
+    as a whole word, nowhere outside their own definition in ``pkg`` or
+    ``others``."""
+    words = Counter()
+    for src in [*pkg.values(), *others]:
+        words.update(WORD.findall(src))
+    dead = []
+    for path, src in pkg.items():
+        lines = src.splitlines()
+        for node in ast.parse(src, path).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            own = WORD.findall("\n".join(
+                lines[node.lineno - 1:node.end_lineno]))
+            if words[node.name] == own.count(node.name):
+                dead.append(f"{path}:{node.lineno} {node.name}")
+    return dead
+
+
+def test_no_unreferenced_top_level_defs():
+    pkg = {str(p.relative_to(ROOT)): p.read_text()
+           for p in sorted((ROOT / "tscan_ray").rglob("*.py"))}
+    others = [p.read_text() for d in OTHER_DIRS
+              for p in sorted((ROOT / d).rglob("*.py"))]
+    others += [(ROOT / f).read_text() for f in OTHER_FILES]
+    dead = _dead_defs(pkg, others)
+    assert not dead, "unreferenced definitions: " + ", ".join(dead)
+
+
+def test_guard_detects_dead_defs():
+    pkg = {"m.py": ("def used():\n    pass\n\n\n"
+                    "def unused(n):\n    return unused(n - 1)\n\n\n"
+                    "class Kept:\n    pass\n\n\n"
+                    "class Dropped:\n    pass\n")}
+    others = ["from m import used\n# Kept is named in a comment\n",
+              "Dropped_v2 = used_more = 1\n"]
+    assert _dead_defs(pkg, others) == ["m.py:5 unused", "m.py:13 Dropped"]
+    assert _dead_defs(pkg, others + ["Dropped(); unused(3)"]) == []

@@ -84,24 +84,6 @@ def groupby_sum_2phase(
     return task_exchange(partials, keys[0], fold, num_buckets=32)
 
 
-def groupby_mean_2phase(ds, keys: list[str], value_col: str, salt: int = 0):
-    """mean(value_col) per keys from (sum, count) partials — decomposable,
-    unlike feeding rows straight to a Mean over the wire."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    reduced = groupby_sum_2phase(ds, keys, [value_col], salt=salt)
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        mean = pc.divide(
-            pc.cast(batch.column(f"sum_{value_col}"), pa.float64()),
-            pc.cast(batch.column("n"), pa.float64()),
-        )
-        return batch.append_column(f"mean_{value_col}", mean)
-
-    return reduced.map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
-
-
 def pivot_counts(
     ds,
     key: str,

@@ -24,9 +24,11 @@ Scale notes
   bundled to ``~64 MB`` so M stays ~input_bytes/64MB.  At 100 TB use a
   two-level exchange (node-local combine, then cross-node) — same
   algebra, one more tier.
-* Skew: a bucket holds whole entities; hot entities must be split by
-  time range with window-sized overlap (SURVEY.md §7.4) — pure
-  aggregations instead pre-combine per batch (ops/agg.py).
+* Skew: a bucket holds whole entities, so the flagship timeline puts a
+  hot entity in one reduce task.  ``ops/window.rolling_time_agg(
+  slice_us=)`` splits hot keys by time range with window-sized overlap
+  (:func:`salted_key`, SURVEY.md §7.4); pure aggregations instead
+  pre-combine per batch (ops/agg.py).
 * The hash is deterministic across processes (no PYTHONHASHSEED
   dependence): Knuth multiplicative for integer keys,
   ``pandas.util.hash_array`` for strings — retries re-produce identical
@@ -282,23 +284,6 @@ def task_exchange(
         for b in range(num_buckets)
     ]
     return rd.from_arrow_refs(outs)
-
-
-def schema_pandas_dtypes(schema) -> pd.Series:
-    """Pandas dtype per column for a Ray Dataset schema — tolerant of
-    non-Arrow entries (pandas-backed datasets report numpy/Python types).
-    Columns whose dtype can't be resolved are simply omitted (callers
-    skip restoring those)."""
-    out: dict = {}
-    for n, t in zip(schema.names, schema.types):
-        try:
-            if isinstance(t, pa.DataType):
-                out[n] = pa.schema([(n, t)]).empty_table().to_pandas().dtypes[n]
-            else:
-                out[n] = np.dtype(t)
-        except (TypeError, pa.ArrowInvalid, pa.ArrowNotImplementedError):
-            continue
-    return pd.Series(out)
 
 
 def as_arrow_type(t) -> pa.DataType:

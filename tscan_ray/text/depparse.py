@@ -304,15 +304,6 @@ def _has_np_complement(anns: list, j: int, end: int, puncts: set[int]) -> bool:
     return False
 
 
-def _nounish_after(anns: list, i: int, end: int,
-                   puncts: set[int]) -> bool:
-    """True when the next non-punct token after ``i`` heads a noun run
-    (the ADJ at ``i`` is prenominal, not predicative)."""
-    nxt = next((j for j in range(i + 1, end) if j not in puncts), -1)
-    return nxt >= 0 and (_is_nounish(anns[nxt])
-                         or anns[nxt].tag == "ADJ")
-
-
 def _pp_object(anns: list, i: int, end: int, puncts: set[int]) -> int:
     """Head of the object NP of the preposition at ``i``: the first
     noun/name, nominal plural numeral ("na al die duizenden JAREN" →

@@ -9,8 +9,7 @@ pure functions used *inside* batch UDFs — they never touch Ray.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 NA = float("nan")
 
@@ -167,10 +166,6 @@ def rarity(lemma_doc_counts: dict[str, int], level: int) -> float:
         return NA
     rare = sum(1 for c in lemma_doc_counts.values() if c <= level)
     return proportion(float(rare), float(len(lemma_doc_counts)))
-
-
-def word_counter(tokens: Iterable[str]) -> Counter:
-    return Counter(tokens)
 
 
 def clamp(v: float, lo: float, hi: float) -> float:

@@ -58,3 +58,42 @@ class TestAhash:
         noisy = np.clip(px.astype(np.int16) + 2, 0, 255).astype(np.uint8)
         ha, hb = codecs.ahash64(px), codecs.ahash64(noisy)
         assert bin((ha ^ hb) & (2**64 - 1)).count("1") <= 8
+
+
+class TestPoisonPayloads:
+    """A malformed or missing payload is one row with decode_ok=False,
+    never an exception out of the batch."""
+
+    _POISON = {
+        "truncated_png": lambda px: codecs.encode_png(px)[:45],
+        "null": lambda px: None,
+        "short_ihdr": lambda px: (codecs.PNG_SIG + b"\x00\x00\x00\x0dIHDR"
+                                  + b"\x00\x00"),
+        "truncated_fjpg": lambda px: codecs.encode_fake_jpeg(px)[:20],
+    }
+
+    def test_decode_image_raises_value_error(self):
+        px = _tile(5, 12, 16)
+        for name, make in self._POISON.items():
+            with pytest.raises(ValueError):
+                codecs.decode_image(make(px))
+
+    def test_decode_validate_keeps_the_batch(self):
+        import pyarrow as pa
+
+        from tscan_ray.sources.images import make_pixels
+        from tscan_ray.stages.decode import DecodeValidate
+
+        good = make_pixels(7, 7, 12, 16)
+        payloads = [codecs.encode_png(good)] + [
+            make(good) for make in self._POISON.values()]
+        n = len(payloads)
+        batch = pa.table({
+            "image_id": [f"img-{7 + 50 * i}" for i in range(n)],
+            "bytes": pa.array(payloads, pa.binary()),
+            "w": [12] * n, "h": [16] * n,
+            "fmt": ["png", "png", "png", "png", "jpeg"],
+        })
+        out = DecodeValidate(n_entities=50)(batch)
+        assert out.num_rows == n
+        assert out.column("decode_ok").to_pylist() == [True] + [False] * (n - 1)

@@ -97,6 +97,27 @@ class TestDistributedPlugins:
         out = featurize(ds, concurrency=1).to_pandas()
         assert list(out["caps_cnt"]) == [3.0, 0.0]
 
+    def test_custom_group_reaches_paragraph_table(self):
+        """Every text stage re-registers the driver's groups, so the
+        paragraph table carries a custom column like the document
+        table does."""
+        from tscan_ray.stages.featurizer import featurize
+        from tscan_ray.stages.paragraphs import explode_paragraphs
+
+        def caps_group(doc, out, cfg):
+            return {"caps_cnt":
+                    float(sum(w.word[:1].isupper() for w in doc.words))}
+
+        F.register_feature_group("caps", caps_group)
+        ds = ray.data.from_arrow(pa.table({
+            "doc_id": [1],
+            "caption": ["De Man ziet Amsterdam .\n\nde kat slaapt ."]}))
+        docs = featurize(ds, concurrency=1).to_pandas()
+        pars = explode_paragraphs(ds, "caption", ["doc_id"],
+                                  concurrency=1).to_pandas()
+        assert list(docs["caps_cnt"]) == [3.0]
+        assert list(pars.sort_values("par_idx")["caps_cnt"]) == [3.0, 0.0]
+
     def test_skip_groups_through_stage(self):
         from tscan_ray.stages.featurizer import featurize
 

@@ -1,5 +1,7 @@
 """Every top-level function and class in the library has a user: a
-definition that no code, tool, benchmark or test names is dead code."""
+definition that no code, tool, benchmark or test names is dead code.
+Likewise every ``EngineConfig`` field is read somewhere: a field nothing
+reads is an option that silently does nothing."""
 
 import ast
 import pathlib
@@ -10,6 +12,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 OTHER_DIRS = ("tools", "perfbench", "tests")
 OTHER_FILES = ("__ray_entry__.py", "bench.py")
 WORD = re.compile(r"\w+")
+# code that may read a config field: the library, its tools, the
+# benchmark and the entry points (a test reading a field is no user)
+CONFIG_READERS = ("tscan_ray", "tools", "perfbench")
 
 
 def _dead_defs(pkg: dict[str, str], others: list[str]) -> list[str]:
@@ -52,3 +57,41 @@ def test_guard_detects_dead_defs():
               "Dropped_v2 = used_more = 1\n"]
     assert _dead_defs(pkg, others) == ["m.py:5 unused", "m.py:13 Dropped"]
     assert _dead_defs(pkg, others + ["Dropped(); unused(3)"]) == []
+
+
+def _unread_fields(config_src: str, others: list[str]) -> list[str]:
+    """``EngineConfig`` fields and properties in ``config_src`` that no
+    source in ``others`` reads as an attribute (``.name``)."""
+    cls = next(n for n in ast.parse(config_src).body
+               if isinstance(n, ast.ClassDef) and n.name == "EngineConfig")
+    fields = [n.target.id if isinstance(n, ast.AnnAssign) else n.name
+              for n in cls.body
+              if isinstance(n, (ast.AnnAssign, ast.FunctionDef))]
+    read = set()
+    for src in others:
+        read.update(re.findall(r"\.(\w+)", src))
+    return [f for f in fields if f not in read]
+
+
+def test_every_config_field_is_read():
+    config = ROOT / "tscan_ray" / "config.py"
+    others = [p.read_text() for d in CONFIG_READERS
+              for p in sorted((ROOT / d).rglob("*.py")) if p != config]
+    others += [(ROOT / f).read_text() for f in OTHER_FILES]
+    unread = _unread_fields(config.read_text(), others)
+    assert not unread, "EngineConfig fields nothing reads: " + ", ".join(unread)
+
+
+def test_guard_detects_unread_fields():
+    src = ("@dataclass(frozen=True)\n"
+           "class EngineConfig:\n"
+           "    used: int = 1\n"
+           "    unused: float = 0.5\n"
+           "    extra: dict = field(default_factory=dict)\n\n"
+           "    @property\n"
+           "    def derived(self) -> int:\n"
+           "        return self.used * 2\n")
+    others = ["n = cfg.used\n# extra and derived named only in a comment\n",
+              "unused = 3\n"]
+    assert _unread_fields(src, others) == ["unused", "extra", "derived"]
+    assert _unread_fields(src, others + ["c.unused + c.extra + c.derived"]) == []

@@ -2,28 +2,24 @@
 
 Mirrors the reference's config surface (thresholds and feature knobs read
 from ``tscan.cfg``; see reference ``src/tscan.cxx:862-1119``) plus the
-knobs the Ray-Data point-in-time layer needs (bucket counts, session gap,
-target partition bytes).  Pure dataclass — no I/O, no Ray.
+knobs the Ray-Data point-in-time layer needs (bucket counts, session
+gap).  Pure dataclass — no I/O, no Ray.  MTLD's 0.72 factor threshold is
+``text.kernels.MTLD_THRESHOLD``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class EngineConfig:
     # --- linguistic feature thresholds (reference parity) -------------
-    # MTLD factor threshold (reference src/tscan.cxx:1806-1875 uses 0.72)
-    mtld_threshold: float = 0.72
     # document-level sliding overlap window, in words
     # (reference `overlapSize`, src/tscan.cxx:3039-3090)
     overlap_size: int = 50
     # rarity index: lemma doc-count cutoff (reference src/docstats.cxx:9-18)
     rarity_level: int = 4
-    # frequency clip percentage for top-k band proportions
-    # (reference freq_clip, src/tscan.cxx:2366-2400)
-    freq_clip: float = 90.0
     # parse-failure threshold: sentences longer than this are treated as
     # parse failures (the reference's Alpino times out on pathological
     # sentences; Alpino_status counts them and their parse-derived
@@ -41,11 +37,10 @@ class EngineConfig:
     phash_bucket_bits: int = 16
     # sessionization gap (microseconds); 30 min default
     session_gap_us: int = 30 * 60 * 1_000_000
-    # number of hash buckets for keyed window/as-of shuffles.  At scale:
-    # ~ input_bytes / target_partition_bytes, >= cluster parallelism.
+    # number of hash buckets for keyed window/as-of shuffles; at scale
+    # >= cluster parallelism, with each bucket small enough for a
+    # worker heap
     num_key_buckets: int = 64
-    # target bytes per shuffle partition (sized so a bucket fits a worker heap)
-    target_partition_bytes: int = 256 * 1024 * 1024
 
     # --- execution sizing ---------------------------------------------
     # ~3 ms/doc UDF cost -> 128-doc batches are ~0.4 s of work per actor
@@ -61,17 +56,10 @@ class EngineConfig:
     minhash_num_perm: int = 64
     minhash_bands: int = 16  # 16 bands x 4 rows
     shingle_k: int = 3  # word shingle size for minhash
-    simhash_bits: int = 64
     ann_top_k: int = 10
 
     # --- image invariants ---------------------------------------------
     psnr_min_db: float = 40.0
-
-    extra: dict = field(default_factory=dict)
-
-    @property
-    def minhash_rows_per_band(self) -> int:
-        return self.minhash_num_perm // self.minhash_bands
 
 
 DEFAULT_CONFIG = EngineConfig()

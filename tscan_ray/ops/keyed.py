@@ -19,7 +19,7 @@ Dataset API can't deliver:
 Scale notes
 -----------
 * B (``num_buckets``): sized so one bucket fits a worker heap
-  (``>= input_bytes / target_partition_bytes``) and >= cluster
+  (``>= input_bytes / heap bytes per bucket``) and >= cluster
   parallelism.  Driver-side ref fan-out is M×B; split inputs are
   bundled to ``~64 MB`` so M stays ~input_bytes/64MB.  At 100 TB use a
   two-level exchange (node-local combine, then cross-node) — same

@@ -109,12 +109,22 @@ def encode_image(pixels: np.ndarray, fmt: str) -> bytes:
 
 
 def decode_image(data: bytes, fmt: str | None = None) -> np.ndarray:
-    """Decode by magic sniffing (fmt hint optional)."""
+    """Decode by magic sniffing (fmt hint optional).  A missing, unknown
+    or malformed payload (truncated deflate stream, short chunk header,
+    pixel count off the declared size) raises ``ValueError``, so callers
+    can turn one bad row into data instead of losing the batch."""
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise ValueError(f"no image payload ({type(data).__name__})")
     if data[:8] == PNG_SIG:
-        return decode_png(data)
-    if data[:4] == FAKE_JPEG_MAGIC:
-        return decode_fake_jpeg(data)
-    raise NotImplementedError(f"unknown image payload (fmt hint={fmt!r})")
+        decode = decode_png
+    elif data[:4] == FAKE_JPEG_MAGIC:
+        decode = decode_fake_jpeg
+    else:
+        raise ValueError(f"unknown image payload (fmt hint={fmt!r})")
+    try:
+        return decode(data)
+    except (zlib.error, struct.error) as e:
+        raise ValueError(f"malformed image payload: {e}") from e
 
 
 def psnr_db(a: np.ndarray, b: np.ndarray) -> float:

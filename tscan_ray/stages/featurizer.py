@@ -1,9 +1,9 @@
 """Caption featurizer stage: a stateful ``map_batches`` actor pool.
 
-Lexicons are built ONCE per actor in ``__init__`` (the reference loads
-its ~20 lexicon files once at startup, src/tscan.cxx:862-1119); each
-``__call__`` processes one zero-copy Arrow batch and appends the flat
-feature vector columns.
+A :class:`~tscan_ray.stages.text_stage.TextStage`: lexicons are built
+ONCE per actor (the reference loads its ~20 lexicon files once at
+startup, src/tscan.cxx:862-1119); each ``__call__`` walks one zero-copy
+Arrow batch and appends the flat document feature vector columns.
 
 Usage::
 
@@ -26,14 +26,14 @@ on a node share one object-store copy.
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 
 import ray
 
 from tscan_ray.config import DEFAULT_CONFIG, EngineConfig
-from tscan_ray.text.features import feature_names, featurize_document
-from tscan_ray.text.lexicons import default_lexicons
+from tscan_ray.stages.text_stage import (TextStage, feature_arrays,
+                                         map_text_stage)
+from tscan_ray.text.features import emit_document
 
 
 def cluster_cpus() -> int:
@@ -48,90 +48,23 @@ def pool_size(cap: int = 32, headroom: int = 2) -> int:
     return max(1, min(cap, cluster_cpus() - headroom))
 
 
-class CaptionFeaturizer:
+class CaptionFeaturizer(TextStage):
     """Compute the T-scan feature vector for a text column, per batch."""
 
-    def __init__(
-        self,
-        text_column: str = "caption",
-        cfg: EngineConfig = DEFAULT_CONFIG,
-        lexicons_ref=None,
-        lm_ref=None,
-        prefix: str = "",
-        keep_columns: list[str] | None = None,
-        custom_groups: dict | None = None,
-        annotations_column: str | None = None,
-    ):
-        # once-per-actor setup (NOT per batch).  lm_ref: ray.put() of a
-        # corpus-fitted BigramLM (one object-store copy shared per node);
-        # None -> packaged unigram default.
-        #
-        # custom_groups: the driver's register_feature_group() registry
-        # does not exist in this (actor) process — the featurize() helper
-        # snapshots it at pipeline-build time and re-registers here.
-        if custom_groups:
-            from tscan_ray.text import features as _fmod
-
-            for gname, gfn in custom_groups.items():
-                if gname not in _fmod._CUSTOM_GROUPS:
-                    _fmod.register_feature_group(gname, gfn)
-        self.text_column = text_column
-        self.cfg = cfg
-        self.prefix = prefix
+    def __init__(self, text_column: str = "caption",
+                 keep_columns: list[str] | None = None, **stage_opts):
+        super().__init__(text_column, **stage_opts)
         self.keep_columns = keep_columns
-        # annotations_column: JSON per row (sources/folia.py
-        # annotations_to_json) carrying precomputed Frog/Alpino
-        # annotations — the reference's parse-cache pattern
-        # (src/tscan.cxx:168-221) distributed: rows with a non-null
-        # value bypass the heuristic tagger / reduced parser entirely
-        self.annotations_column = annotations_column
-        self.lex = ray.get(lexicons_ref) if lexicons_ref is not None else default_lexicons()
-        self.lm = ray.get(lm_ref) if lm_ref is not None else None
-        self.names = feature_names(cfg)
-        # per-feature dtype for EMPTY batches (the per-batch int/float
-        # sniff below would call every column int64 when there are no
-        # values, clashing with non-empty blocks' float columns)
-        probe = featurize_document("", self.lex, self.cfg, lm=self.lm)
-        self._int_features = {n for n in self.names
-                              if isinstance(probe[n], int)}
+        self.names, self.int_names = self.feature_schema()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch.column(self.text_column).to_pylist()
-        if (self.annotations_column is not None
-                and self.annotations_column in batch.column_names):
-            from tscan_ray.sources.folia import annotations_from_json
-
-            rows = []
-            for t, a in zip(texts,
-                            batch.column(self.annotations_column).to_pylist()):
-                if a:
-                    paragraphs, lookup = annotations_from_json(a)
-                    rows.append(featurize_document(
-                        t or "", self.lex, self.cfg, lm=self.lm,
-                        annotations=paragraphs, tree_lookup=lookup))
-                else:
-                    rows.append(featurize_document(t or "", self.lex,
-                                                   self.cfg, lm=self.lm))
-        else:
-            rows = [featurize_document(t or "", self.lex, self.cfg,
-                                       lm=self.lm)
-                    for t in texts]
+        rows = [emit_document(folds, self.cfg)
+                for folds in self.documents(batch)]
         if self.keep_columns is not None:
             batch = batch.select(self.keep_columns)
         # one arrow table construction (not 400 append_column copies)
         cols = {c: batch.column(c) for c in batch.column_names}
-        for n in self.names:
-            vals = [r[n] for r in rows]
-            # ints stay int64; anything that can be NaN becomes float64.
-            # Empty batches use the probe-derived dtype so the schema
-            # unifies with non-empty blocks.
-            is_int = (n in self._int_features if not vals
-                      else all(isinstance(v, int) for v in vals))
-            if is_int:
-                arr = pa.array(np.asarray(vals, dtype=np.int64), type=pa.int64())
-            else:
-                arr = pa.array(np.asarray(vals, dtype=np.float64), type=pa.float64())
-            cols[self.prefix + n] = arr
+        cols.update(feature_arrays(rows, self.names, self.int_names))
         return pa.table(cols)
 
 
@@ -164,28 +97,12 @@ def featurize(
     (webservice/tscanservice/tscanwrapper.py:73-88): one object-store
     copy, fetched once per actor.
     """
-    if concurrency is None:
-        concurrency = pool_size()
-    kwargs = {"concurrency": concurrency}
-    from tscan_ray.text import features as _fmod
-
-    return ds.map_batches(
-        CaptionFeaturizer,
-        fn_constructor_kwargs={
-            "text_column": text_column,
-            "cfg": cfg,
-            "keep_columns": keep_columns,
-            "lm_ref": lm_ref,
-            "lexicons_ref": lexicons_ref,
-            "annotations_column": annotations_column,
-            # snapshot the driver-side plugin registry for the actors
-            "custom_groups": dict(_fmod._CUSTOM_GROUPS) or None,
-        },
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size or cfg.featurizer_batch_size,
-        **kwargs,
-    )
+    return map_text_stage(
+        ds, CaptionFeaturizer, batch_size or cfg.featurizer_batch_size,
+        pool_size() if concurrency is None else concurrency,
+        text_column=text_column, cfg=cfg, keep_columns=keep_columns,
+        lm_ref=lm_ref, lexicons_ref=lexicons_ref,
+        annotations_column=annotations_column)
 
 
 def with_custom_wordlist(wordlist, classification: str = "custom"):

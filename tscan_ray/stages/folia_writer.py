@@ -9,7 +9,9 @@ equivalent: an actor-pool ``map_batches`` stage that analyzes each
 document (or consumes its precomputed annotation column), renders the
 annotated FoLiA document, and writes one ``<doc_id>.xml`` per input doc
 (atomic replace — resumable, idempotent under retries).  The returned
-dataset is the write manifest (doc_id, path, n_words).
+dataset is the write manifest (doc_id, path, n_words).  The actor is a
+:class:`~tscan_ray.stages.text_stage.TextStage`, which owns the setup
+and the document walk; this module keeps only the XML render and write.
 
 Metric vocabulary = the reference's own (text/metric_names.py display
 maps text/display.py); floats render with 6 significant digits
@@ -24,17 +26,16 @@ import xml.etree.ElementTree as ET
 
 import pyarrow as pa
 
-import ray
-
 from tscan_ray.config import DEFAULT_CONFIG, EngineConfig
+from tscan_ray.stages.text_stage import TextStage, map_text_stage
+from tscan_ray.text import depparse
 from tscan_ray.text import display as _d
-from tscan_ray.text.lexicons import default_lexicons
+from tscan_ray.text.features import paragraph_al
 from tscan_ray.text.metric_names import (COMPUTED_METRICS,
                                          CONDITIONAL_METRICS,
                                          COUNTER_METRICS,
                                          COUNTER_METRICS_EXT, DIST_METRICS,
                                          PARSE_METRICS)
-from tscan_ray.text.tokenize import segment
 
 _FOLIA_NS = "http://ilk.uvt.nl/folia"
 _XML_ID = "{http://www.w3.org/XML/1998/namespace}id"
@@ -116,8 +117,6 @@ def _struct_metrics(el: ET.Element, folds, level: str) -> None:
     multimap; ``deplen``/``max_deplen`` are the sentence's own pooled
     values at level 's' but getMeanAL/getHighestAL (mean of child
     al_gem/al_max) at paragraph/doc level (structstats.cxx:28-54)."""
-    from tscan_ray.text import depparse
-
     totals: dict[str, float] = {}
     for f in folds:
         for k, v in f.c.items():
@@ -154,10 +153,9 @@ def _struct_metrics(el: ET.Element, folds, level: str) -> None:
         # (src/sentstats.cxx:257-264)
         _metric(el, "max_deplen", max(all_d) if all_d else 0)
     else:
-        _metric(el, "deplen",
-                depparse.doc_mean_al([p.al_gem for p in parses]))
-        _metric(el, "max_deplen",
-                depparse.doc_mean_al([p.al_max for p in parses]))
+        al_gem, al_max = paragraph_al(folds)
+        _metric(el, "deplen", al_gem)
+        _metric(el, "max_deplen", al_max)
 
 
 def render_folia(doc_id: str, sent_folds_by_par, doc_metrics: dict) -> str:
@@ -184,88 +182,38 @@ def render_folia(doc_id: str, sent_folds_by_par, doc_metrics: dict) -> str:
     return ET.tostring(root, encoding="unicode")
 
 
-class FoliaWriter:
+def _doc_metrics(folds_by_par) -> dict:
+    """Document-level metrics: d_level = raw SUM (structstats.cxx:
+    1620-1624); deplen/max_deplen = two-level paragraph rollups."""
+    all_folds = [f for folds in folds_by_par for f in folds]
+    out: dict = {}
+    dlv = depparse.merge_d_level(
+        [f.parses[0].d_level for f in all_folds if f.parses])
+    if dlv >= 0:
+        out["d_level"] = dlv
+    par_al = [paragraph_al(folds) for folds in folds_by_par]
+    out["deplen"] = depparse.doc_mean_al([g for g, _ in par_al])
+    out["max_deplen"] = depparse.doc_mean_al([m for _, m in par_al])
+    out["word_count"] = int(sum(f.c.get("wordCnt", 0) for f in all_folds))
+    return out
+
+
+class FoliaWriter(TextStage):
     """Analyze each document and write ``out_dir/<doc_id>.xml``."""
 
-    def __init__(
-        self,
-        out_dir: str,
-        text_column: str = "text",
-        id_column: str = "doc_id",
-        annotations_column: str | None = None,
-        cfg: EngineConfig = DEFAULT_CONFIG,
-        lexicons_ref=None,
-        lm_ref=None,
-    ):
+    def __init__(self, out_dir: str, text_column: str = "text",
+                 id_column: str = "doc_id", **stage_opts):
+        super().__init__(text_column, **stage_opts)
         self.out_dir = out_dir
-        self.text_column = text_column
         self.id_column = id_column
-        self.annotations_column = annotations_column
-        self.cfg = cfg
-        self.lex = (ray.get(lexicons_ref) if lexicons_ref is not None
-                    else default_lexicons())
-        self.lm = ray.get(lm_ref) if lm_ref is not None else None
-        if self.lm is None:
-            from tscan_ray.text.surprisal import default_lm
-
-            self.lm = default_lm()
         os.makedirs(out_dir, exist_ok=True)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from tscan_ray.text import depparse
-        from tscan_ray.text.features import analyze_sentence
-
-        texts = batch.column(self.text_column).to_pylist()
         ids = batch.column(self.id_column).to_pylist()
-        ann_json = None
-        if (self.annotations_column is not None
-                and self.annotations_column in batch.column_names):
-            ann_json = batch.column(self.annotations_column).to_pylist()
         out_ids, out_paths, out_words = [], [], []
-        for row, text in enumerate(texts):
-            pre_doc = tree_lookup = None
-            if ann_json is not None and ann_json[row]:
-                from tscan_ray.sources.folia import annotations_from_json
-
-                pre_doc, tree_lookup = annotations_from_json(ann_json[row])
-            paragraphs = (pre_doc if pre_doc is not None
-                          else segment(text or ""))
-            folds_by_par, n_words = [], 0
-            for para in paragraphs:
-                prev, folds = None, []
-                for sent in para:
-                    pre = sent if pre_doc is not None else None
-                    toks = ([t.word for t in sent] if pre is not None
-                            else sent)
-                    tree = (tree_lookup(" ".join(toks))
-                            if tree_lookup is not None else None)
-                    fold = analyze_sentence(toks, prev, self.lex, self.cfg,
-                                            lm=self.lm, pre=pre,
-                                            alpino_tree=tree)
-                    prev = fold
-                    folds.append(fold)
-                    n_words += len(fold.words)
-                folds_by_par.append(folds)
-            all_folds = [f for folds in folds_by_par for f in folds]
-            # doc metrics: d_level = raw SUM (structstats.cxx:1620-1624);
-            # deplen/max_deplen = two-level paragraph rollups
-            doc_metrics: dict = {}
-            dlv = depparse.merge_d_level(
-                [f.parses[0].d_level for f in all_folds if f.parses])
-            if dlv >= 0:
-                doc_metrics["d_level"] = dlv
-            par_gem = [depparse.doc_mean_al(
-                [f.parses[0].al_gem for f in folds if f.parses])
-                for folds in folds_by_par]
-            par_max = [depparse.doc_mean_al(
-                [f.parses[0].al_max for f in folds if f.parses])
-                for folds in folds_by_par]
-            doc_metrics["deplen"] = depparse.doc_mean_al(par_gem)
-            doc_metrics["max_deplen"] = depparse.doc_mean_al(par_max)
-            doc_metrics["word_count"] = int(
-                sum(f.c.get("wordCnt", 0) for f in all_folds))
+        for row, folds_by_par in enumerate(self.documents(batch)):
             doc_id = str(ids[row])
-            xml = render_folia(doc_id, folds_by_par, doc_metrics)
+            xml = render_folia(doc_id, folds_by_par, _doc_metrics(folds_by_par))
             path = os.path.join(self.out_dir, f"{doc_id}.xml")
             tmp = f"{path}.tmp.{os.getpid()}"
             with open(tmp, "w", encoding="utf-8") as fh:
@@ -273,7 +221,8 @@ class FoliaWriter:
             os.replace(tmp, path)
             out_ids.append(doc_id)
             out_paths.append(path)
-            out_words.append(n_words)
+            out_words.append(sum(len(f.words) for folds in folds_by_par
+                                 for f in folds))
         return pa.table({
             "doc_id": pa.array(out_ids, pa.string()),
             "path": pa.array(out_paths, pa.string()),
@@ -295,19 +244,8 @@ def write_folia(
 ):
     """Write one annotated FoLiA XML per document (S3); returns the
     write-manifest Dataset (doc_id, path, n_words)."""
-    return ds.map_batches(
-        FoliaWriter,
-        fn_constructor_kwargs={
-            "out_dir": out_dir,
-            "text_column": text_column,
-            "id_column": id_column,
-            "annotations_column": annotations_column,
-            "cfg": cfg,
-            "lexicons_ref": lexicons_ref,
-            "lm_ref": lm_ref,
-        },
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return map_text_stage(
+        ds, FoliaWriter, batch_size, concurrency,
+        out_dir=out_dir, text_column=text_column, id_column=id_column,
+        annotations_column=annotations_column, cfg=cfg,
+        lexicons_ref=lexicons_ref, lm_ref=lm_ref)

@@ -7,88 +7,42 @@ over the paragraph's own merged sentence folds — paragraph-scoped MTLD
 and frequency normalization (src/tscan.cxx:3026-3034) fall out of that
 for free.  One output row per paragraph; a document's paragraphs never
 span input rows, so the stage is a pure no-shuffle actor-pool map like
-the word/sentence explodes.
+the word/sentence explodes.  The actor is a
+:class:`~tscan_ray.stages.text_stage.TextStage`, which owns the setup
+and the document walk; this module keeps only the paragraph row emit.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 
-import ray
-
 from tscan_ray.config import DEFAULT_CONFIG, EngineConfig
-from tscan_ray.text.features import feature_names, featurize_paragraphs
-from tscan_ray.text.lexicons import default_lexicons
+from tscan_ray.stages.text_stage import (TextStage, feature_arrays,
+                                         map_text_stage, repeat_ids)
+from tscan_ray.text.features import emit_paragraphs
 
 
-class ParagraphExploder:
+class ParagraphExploder(TextStage):
     """One row per paragraph with the full structStats feature vector."""
 
-    def __init__(
-        self,
-        text_column: str,
-        id_columns: list[str],
-        cfg: EngineConfig = DEFAULT_CONFIG,
-        lexicons_ref=None,
-        lm_ref=None,
-        annotations_column: str | None = None,
-    ):
-        self.text_column = text_column
+    def __init__(self, text_column: str, id_columns: list[str],
+                 **stage_opts):
+        super().__init__(text_column, **stage_opts)
         self.id_columns = id_columns
-        self.cfg = cfg
-        self.annotations_column = annotations_column
-        self.lex = (ray.get(lexicons_ref) if lexicons_ref is not None
-                    else default_lexicons())
-        self.lm = ray.get(lm_ref) if lm_ref is not None else None
-        self.names = feature_names(cfg)
-        from tscan_ray.text.features import featurize_document
-
-        probe = featurize_document("", self.lex, self.cfg, lm=self.lm)
-        self._int_features = {n for n in self.names
-                              if isinstance(probe[n], int)}
+        self.names, self.int_names = self.feature_schema()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch.column(self.text_column).to_pylist()
-        ids = {c: batch.column(c).to_pylist() for c in self.id_columns}
-        out_ids: dict[str, list] = {c: [] for c in self.id_columns}
+        doc_rows: list[int] = []
         par_idx: list[int] = []
         rows: list[dict] = []
-        ann_json = None
-        if (self.annotations_column is not None
-                and self.annotations_column in batch.column_names):
-            ann_json = batch.column(self.annotations_column).to_pylist()
-        for row, text in enumerate(texts):
-            annotations = tree_lookup = None
-            if ann_json is not None and ann_json[row]:
-                from tscan_ray.sources.folia import annotations_from_json
-
-                annotations, tree_lookup = annotations_from_json(
-                    ann_json[row])
-            for pi, vec in enumerate(
-                    featurize_paragraphs(text or "", self.lex, self.cfg,
-                                         lm=self.lm,
-                                         annotations=annotations,
-                                         tree_lookup=tree_lookup)):
-                for c in self.id_columns:
-                    out_ids[c].append(ids[c][row])
+        for row, folds_by_par in enumerate(self.documents(batch)):
+            for pi, vec in enumerate(emit_paragraphs(folds_by_par, self.cfg)):
+                doc_rows.append(row)
                 par_idx.append(pi)
                 rows.append(vec)
-        cols: dict[str, pa.Array] = {}
-        for c in self.id_columns:
-            cols[c] = pa.array(out_ids[c],
-                               type=batch.column(c).type)
+        cols = repeat_ids(batch, self.id_columns, doc_rows)
         cols["par_idx"] = pa.array(par_idx, type=pa.int32())
-        for n in self.names:
-            vals = [r[n] for r in rows]
-            is_int = (n in self._int_features if not vals
-                      else all(isinstance(v, int) for v in vals))
-            if is_int:
-                cols[n] = pa.array(np.asarray(vals, dtype=np.int64),
-                                   type=pa.int64())
-            else:
-                cols[n] = pa.array(np.asarray(vals, dtype=np.float64),
-                                   type=pa.float64())
+        cols.update(feature_arrays(rows, self.names, self.int_names))
         return pa.table(cols)
 
 
@@ -106,18 +60,8 @@ def explode_paragraphs(
     """One output row per paragraph of ``text_column`` (actor-pool stage).
     ``annotations_column``: JSON annotation column (sources/folia), same
     contract as the featurizer/word/sentence stages."""
-    return ds.map_batches(
-        ParagraphExploder,
-        fn_constructor_kwargs={
-            "text_column": text_column,
-            "id_columns": id_columns,
-            "cfg": cfg,
-            "lexicons_ref": lexicons_ref,
-            "lm_ref": lm_ref,
-            "annotations_column": annotations_column,
-        },
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return map_text_stage(
+        ds, ParagraphExploder, batch_size, concurrency,
+        text_column=text_column, id_columns=id_columns, cfg=cfg,
+        lexicons_ref=lexicons_ref, lm_ref=lm_ref,
+        annotations_column=annotations_column)

@@ -5,7 +5,9 @@ reference emits at that level (reference src/structstats.cxx:89-121 row
 emit; sentence counters from the sentStats ctor): token counts, content/
 name counts, parse-derived AL mean/max + D-level + clause counts, and
 the LM sentence metrics.  Same no-shuffle shape as the word explode —
-a document's sentences never span input rows.
+a document's sentences never span input rows.  The actor is a
+:class:`~tscan_ray.stages.text_stage.TextStage`, which owns the setup
+and the document walk; this module keeps only the sentence row emit.
 """
 
 from __future__ import annotations
@@ -14,111 +16,57 @@ import math
 
 import pyarrow as pa
 
-import ray
-
 from tscan_ray.config import DEFAULT_CONFIG, EngineConfig
-from tscan_ray.text.features import analyze_sentence
-from tscan_ray.text.lexicons import default_lexicons
-from tscan_ray.text.tokenize import segment
+from tscan_ray.stages.text_stage import (TextStage, map_text_stage,
+                                         repeat_ids)
 
 _COUNTER_COLS = (
     "wordCnt letCnt nameCnt contentCnt contentStrictCnt nounCnt verbCnt "
     "adjCnt propNegCnt morphNegCnt questCnt smainCnt ssubCnt sv1Cnt "
     "clauseCnt correctedClauseCnt npCnt indefNpCnt betrCnt impCnt"
 ).split()
+# (column, arrow type, fn(parse, forward LM stats)), after the counters
+_SENT_FIELDS = [
+    ("d_level", pa.int32(), lambda p, lm: p.d_level),
+    ("al_gem", pa.float64(), lambda p, lm: p.al_gem),
+    ("al_max", pa.float64(), lambda p, lm: p.al_max),
+    ("avg_prob10_fwd", pa.float64(),
+     lambda p, lm: lm.get("avg_prob10", math.nan)),
+    ("entropy_fwd", pa.float64(), lambda p, lm: lm.get("entropy", math.nan)),
+    ("perplexity_fwd", pa.float64(),
+     lambda p, lm: lm.get("perplexity", math.nan)),
+]
 
 
-class SentenceExploder:
-    def __init__(
-        self,
-        text_column: str,
-        id_columns: list[str],
-        cfg: EngineConfig = DEFAULT_CONFIG,
-        lexicons_ref=None,
-        lm_ref=None,
-        annotations_column: str | None = None,
-    ):
-        self.text_column = text_column
+class SentenceExploder(TextStage):
+    def __init__(self, text_column: str, id_columns: list[str],
+                 **stage_opts):
+        super().__init__(text_column, **stage_opts)
         self.id_columns = id_columns
-        self.cfg = cfg
-        self.annotations_column = annotations_column
-        self.lex = (
-            ray.get(lexicons_ref) if lexicons_ref is not None else default_lexicons()
-        )
-        if lm_ref is not None:
-            self.lm = ray.get(lm_ref)
-        else:
-            from tscan_ray.text.surprisal import default_lm
-
-            self.lm = default_lm()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch.column(self.text_column).to_pylist()
-        ids = {c: batch.column(c).to_pylist() for c in self.id_columns}
-        out: dict[str, list] = {c: [] for c in self.id_columns}
-        out.update({"par_idx": [], "sent_idx": [], "n_tokens": []})
-        for c in _COUNTER_COLS:
-            out[c] = []
-        for c in ("al_gem", "al_max", "d_level", "avg_prob10_fwd",
-                  "entropy_fwd", "perplexity_fwd"):
-            out[c] = []
-        ann_json = None
-        if (self.annotations_column is not None
-                and self.annotations_column in batch.column_names):
-            ann_json = batch.column(self.annotations_column).to_pylist()
-        for row, text in enumerate(texts):
-            pre_doc = tree_lookup = None
-            if ann_json is not None and ann_json[row]:
-                from tscan_ray.sources.folia import annotations_from_json
-
-                pre_doc, tree_lookup = annotations_from_json(ann_json[row])
-            paragraphs = (pre_doc if pre_doc is not None
-                          else segment(text or ""))
-            for pi, para in enumerate(paragraphs):
-                prev = None  # prev-sentence pointer resets per paragraph
-                for si, sent in enumerate(para):
-                    pre = sent if pre_doc is not None else None
-                    toks = ([t.word for t in sent] if pre is not None
-                            else sent)
-                    tree = (tree_lookup(" ".join(toks))
-                            if tree_lookup is not None else None)
-                    f = analyze_sentence(toks, prev, self.lex, self.cfg,
-                                         lm=self.lm, pre=pre,
-                                         alpino_tree=tree)
-                    prev = f
-                    sent = toks
-                    parse = f.parses[0]
-                    surp = f.surps[0]["fwd"] if f.surps else {}
-                    for c in self.id_columns:
-                        out[c].append(ids[c][row])
+        doc_rows: list[int] = []
+        out: dict[str, list] = {c: [] for c in ("par_idx", "sent_idx",
+                                                "n_tokens", *_COUNTER_COLS)}
+        out.update({name: [] for name, _, _ in _SENT_FIELDS})
+        for row, folds_by_par in enumerate(self.documents(batch)):
+            for pi, folds in enumerate(folds_by_par):
+                for si, f in enumerate(folds):
+                    fwd = f.surps[0]["fwd"] if f.surps else {}
+                    doc_rows.append(row)
                     out["par_idx"].append(pi)
                     out["sent_idx"].append(si)
-                    out["n_tokens"].append(len(sent))
+                    out["n_tokens"].append(len(f.words))
                     for c in _COUNTER_COLS:
                         out[c].append(int(f.c[c]))
-                    out["al_gem"].append(parse.al_gem)
-                    out["al_max"].append(parse.al_max)
-                    out["d_level"].append(parse.d_level)
-                    out["avg_prob10_fwd"].append(surp.get("avg_prob10", math.nan))
-                    out["entropy_fwd"].append(surp.get("entropy", math.nan))
-                    out["perplexity_fwd"].append(surp.get("perplexity", math.nan))
-        arrays, names = [], []
-        for c in self.id_columns:
-            names.append(c)
-            arrays.append(pa.array(out[c]))
-        for name in ("par_idx", "sent_idx", "n_tokens"):
-            names.append(name)
-            arrays.append(pa.array(out[name], type=pa.int32()))
-        for c in _COUNTER_COLS:
-            names.append(c)
-            arrays.append(pa.array(out[c], type=pa.int32()))
-        names.append("d_level")
-        arrays.append(pa.array(out["d_level"], type=pa.int32()))
-        for c in ("al_gem", "al_max", "avg_prob10_fwd", "entropy_fwd",
-                  "perplexity_fwd"):
-            names.append(c)
-            arrays.append(pa.array(out[c], type=pa.float64()))
-        return pa.table(dict(zip(names, arrays)))
+                    for name, _, fn in _SENT_FIELDS:
+                        out[name].append(fn(f.parses[0], fwd))
+        cols = repeat_ids(batch, self.id_columns, doc_rows)
+        for c in ("par_idx", "sent_idx", "n_tokens", *_COUNTER_COLS):
+            cols[c] = pa.array(out[c], type=pa.int32())
+        for name, typ, _ in _SENT_FIELDS:
+            cols[name] = pa.array(out[name], type=typ)
+        return pa.table(cols)
 
 
 def explode_sentences(
@@ -137,18 +85,8 @@ def explode_sentences(
     ``annotations_column``: JSON annotation column (sources/folia) —
     rows with precomputed Frog/Alpino annotations bypass the heuristic
     tagger / reduced parser, like the featurizer and word table."""
-    return ds.map_batches(
-        SentenceExploder,
-        fn_constructor_kwargs={
-            "text_column": text_column,
-            "id_columns": id_columns,
-            "cfg": cfg,
-            "lexicons_ref": lexicons_ref,
-            "lm_ref": lm_ref,
-            "annotations_column": annotations_column,
-        },
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return map_text_stage(
+        ds, SentenceExploder, batch_size, concurrency,
+        text_column=text_column, id_columns=id_columns, cfg=cfg,
+        lexicons_ref=lexicons_ref, lm_ref=lm_ref,
+        annotations_column=annotations_column)

@@ -6,18 +6,19 @@ src/docstats.cxx:24-94).  The engine equivalent: explode each document
 into one output row per token — a ``map_batches`` actor stage (lexicons
 in ``__init__``) that turns N caption rows into ΣN_tokens word rows.
 No shuffle: a document's words never span input rows.
+The actor is a :class:`~tscan_ray.stages.text_stage.TextStage`, which
+owns the setup and the document walk; this module keeps only the word
+row emit.
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
 
-import ray
-
 from tscan_ray.config import DEFAULT_CONFIG, EngineConfig
+from tscan_ray.stages.text_stage import (TextStage, map_text_stage,
+                                         repeat_ids)
 from tscan_ray.text import display as _d
-from tscan_ray.text.lexicons import default_lexicons
-from tscan_ray.text.tokenize import segment
 
 # (name, arrow type, WordAnn attribute) — the word-level schema
 _WORD_FIELDS = [
@@ -68,78 +69,31 @@ _DISPLAY_FIELDS = [
 ]
 
 
-class WordExploder:
-    """Explode a text column into one row per token (word-level S4)."""
+class WordExploder(TextStage):
+    """Explode a text column into one row per token (word-level S4).
 
-    def __init__(
-        self,
-        text_column: str,
-        id_columns: list[str],
-        cfg: EngineConfig = DEFAULT_CONFIG,
-        lexicons_ref=None,
-        lm=None,
-        lm_ref=None,
-        annotations_column: str | None = None,
-    ):
-        self.text_column = text_column
+    The word rows come from the full sentence analysis (contextual
+    passes — checkAls connectives, modifier demotion, prev-sentence
+    argument overlap, LM logprob attach), so they carry the same values
+    the document fold counted; the reference's word CSV is likewise
+    emitted from the fully analyzed wordStats, src/wordstats.cxx:381-407.
+    """
+
+    def __init__(self, text_column: str, id_columns: list[str],
+                 **stage_opts):
+        super().__init__(text_column, **stage_opts)
         self.id_columns = id_columns
-        self.cfg = cfg
-        self.annotations_column = annotations_column
-        self.lex = (
-            ray.get(lexicons_ref) if lexicons_ref is not None else default_lexicons()
-        )
-        if lm is None and lm_ref is not None:
-            lm = ray.get(lm_ref)
-        if lm is None:
-            from tscan_ray.text.surprisal import default_lm
-
-            lm = default_lm()
-        self.lm = lm
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        # full sentence-level analysis per sentence (analyze_sentence:
-        # contextual passes — checkAls connectives, modifier demotion,
-        # prev-sentence argument overlap, LM logprob attach — so the
-        # word rows carry the same values the document fold counted;
-        # the reference's word CSV is likewise emitted from the fully
-        # analyzed wordStats, src/wordstats.cxx:381-407)
-        from tscan_ray.text.features import analyze_sentence
-
-        texts = batch.column(self.text_column).to_pylist()
-        ann_json = None
-        if (self.annotations_column is not None
-                and self.annotations_column in batch.column_names):
-            ann_json = batch.column(self.annotations_column).to_pylist()
-        ids = {c: batch.column(c).to_pylist() for c in self.id_columns}
-        out: dict[str, list] = {c: [] for c in self.id_columns}
-        out.update({"par_idx": [], "sent_idx": [], "word_idx": []})
-        for name, _, _ in _WORD_FIELDS:
-            out[name] = []
-        for name, _ in _DISPLAY_FIELDS:
-            out[name] = []
-        for row, text in enumerate(texts):
-            pre_doc = tree_lookup = None
-            if ann_json is not None and ann_json[row]:
-                from tscan_ray.sources.folia import annotations_from_json
-
-                pre_doc, tree_lookup = annotations_from_json(ann_json[row])
-            paragraphs = (pre_doc if pre_doc is not None
-                          else segment(text or ""))
-            for pi, para in enumerate(paragraphs):
-                prev = None  # prev-sentence pointer resets per paragraph
-                for si, sent in enumerate(para):
-                    pre = sent if pre_doc is not None else None
-                    toks = ([t.word for t in sent] if pre is not None
-                            else sent)
-                    tree = (tree_lookup(" ".join(toks))
-                            if tree_lookup is not None else None)
-                    fold = analyze_sentence(toks, prev, self.lex, self.cfg,
-                                            lm=self.lm, pre=pre,
-                                            alpino_tree=tree)
-                    prev = fold
+        doc_rows: list[int] = []
+        out: dict[str, list] = {"par_idx": [], "sent_idx": [], "word_idx": []}
+        out.update({name: [] for name, _, _ in _WORD_FIELDS})
+        out.update({name: [] for name, _ in _DISPLAY_FIELDS})
+        for row, folds_by_par in enumerate(self.documents(batch)):
+            for pi, folds in enumerate(folds_by_par):
+                for si, fold in enumerate(folds):
                     for wi, ann in enumerate(fold.words):
-                        for c in self.id_columns:
-                            out[c].append(ids[c][row])
+                        doc_rows.append(row)
                         out["par_idx"].append(pi)
                         out["sent_idx"].append(si)
                         out["word_idx"].append(wi)
@@ -147,20 +101,14 @@ class WordExploder:
                             out[name].append(getattr(ann, attr))
                         for name, fn in _DISPLAY_FIELDS:
                             out[name].append(fn(ann))
-        arrays, names = [], []
-        for c in self.id_columns:
-            names.append(c)
-            arrays.append(pa.array(out[c]))
+        cols = repeat_ids(batch, self.id_columns, doc_rows)
         for name in ("par_idx", "sent_idx", "word_idx"):
-            names.append(name)
-            arrays.append(pa.array(out[name], type=pa.int32()))
+            cols[name] = pa.array(out[name], type=pa.int32())
         for name, typ, _ in _WORD_FIELDS:
-            names.append(name)
-            arrays.append(pa.array(out[name], type=typ))
+            cols[name] = pa.array(out[name], type=typ)
         for name, _ in _DISPLAY_FIELDS:
-            names.append(name)
-            arrays.append(pa.array(out[name], type=pa.string()))
-        return pa.table(dict(zip(names, arrays)))
+            cols[name] = pa.array(out[name], type=pa.string())
+        return pa.table(cols)
 
 
 def explode_words(
@@ -180,18 +128,8 @@ def explode_words(
     lprob_fwd/bwd come from the SAME model as the document-level
     surprisal aggregates (the reference feeds both CSV levels from one
     Wopr model); defaults to the packaged unigram LM."""
-    return ds.map_batches(
-        WordExploder,
-        fn_constructor_kwargs={
-            "text_column": text_column,
-            "id_columns": id_columns,
-            "cfg": cfg,
-            "lexicons_ref": lexicons_ref,
-            "lm_ref": lm_ref,
-            "annotations_column": annotations_column,
-        },
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return map_text_stage(
+        ds, WordExploder, batch_size, concurrency,
+        text_column=text_column, id_columns=id_columns, cfg=cfg,
+        lexicons_ref=lexicons_ref, lm_ref=lm_ref,
+        annotations_column=annotations_column)

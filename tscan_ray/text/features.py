@@ -1839,6 +1839,73 @@ def _mtld_families(words: list[WordAnn]) -> dict[str, float]:
     return out
 
 
+def analyze_document(
+    text: str,
+    lex: Lexicons,
+    cfg: EngineConfig,
+    lm,
+    annotations: list[list[list[TokenAnnotation]]] | None = None,
+    tree_lookup=None,
+) -> list[list[Fold]]:
+    """The docStats walk (src/tscan.cxx:3092-3127): one analyzed sentence
+    Fold per sentence, grouped by paragraph.  Every text output (the
+    document, paragraph, sentence and word tables and the FoLiA XML) is
+    emitted from this one tree, as the reference emits all its levels
+    from one docStats (src/docstats.cxx:24-94).
+
+    Tokens come from ``annotations`` (paragraphs of sentences of
+    TokenAnnotation, replacing segmentation + the heuristic tagger) or
+    from ``segment(text)``.  The prev-sentence pointer resets per
+    paragraph (src/tscan.cxx:3018).  ``tree_lookup`` maps a tokenized
+    sentence string to an ``alpino.AlpTree`` (or None: reduced parser) —
+    the reference's alpino_lookup pattern (src/tscan.cxx:3237-3262).  It
+    is called exactly once per sentence, in document order, which the
+    stateful lookup of ``sources/folia.annotations_from_json`` relies on.
+    """
+    out: list[list[Fold]] = []
+    for para in (annotations if annotations is not None else segment(text)):
+        prev: Fold | None = None
+        folds: list[Fold] = []
+        for sent in para:
+            pre = sent if annotations is not None else None
+            toks = [t.word for t in sent] if pre is not None else sent
+            tree = (tree_lookup(" ".join(toks))
+                    if tree_lookup is not None else None)
+            prev = analyze_sentence(toks, prev, lex, cfg, lm=lm, pre=pre,
+                                    alpino_tree=tree)
+            folds.append(prev)
+        out.append(folds)
+    return out
+
+
+def paragraph_al(folds: list[Fold]) -> tuple[float, float]:
+    """parStats::al_gem/al_max: getMeanAL/getHighestAL over the
+    paragraph's sentences (src/structstats.cxx:1693-1694)."""
+    parses = [f.parses[0] for f in folds if f.parses]
+    return (depparse.doc_mean_al([p.al_gem for p in parses]),
+            depparse.doc_mean_al([p.al_max for p in parses]))
+
+
+def emit_document(folds_by_par: list[list[Fold]], cfg: EngineConfig,
+                  **emit_kw) -> dict[str, float]:
+    """Document feature vector over :func:`analyze_document`'s folds:
+    merge-then-normalize, with the doc-level AL averaged over PARAGRAPH
+    values (two-level rollup)."""
+    doc = merge_folds([f for folds in folds_by_par for f in folds])
+    doc.par_al = [paragraph_al(folds) for folds in folds_by_par]
+    return _emit_doc(doc, len(folds_by_par), cfg, **emit_kw)
+
+
+def emit_paragraphs(folds_by_par: list[list[Fold]],
+                    cfg: EngineConfig) -> list[dict[str, float]]:
+    """Paragraph-level feature vectors — the reference's 4th CSV level
+    (parStats, src/docstats.cxx:24-94): a parStats IS a structStats, so
+    each paragraph gets the SAME emit as the document, computed over the
+    paragraph's own merged sentence folds (paragraph-scoped MTLD /
+    frequency normalization, src/tscan.cxx:3026-3034)."""
+    return [_emit_doc(merge_folds(folds), 1, cfg) for folds in folds_by_par]
+
+
 def featurize_document(
     text: str,
     lex: Lexicons | None = None,
@@ -1849,54 +1916,20 @@ def featurize_document(
 ) -> dict[str, float]:
     """Compute the full document feature vector for one text.
 
-    The docStats ctor (src/tscan.cxx:3092-3127): paragraphs of sentences,
-    prev-sentence pointer reset per paragraph, merge-then-normalize.
     ``lm`` is the surprisal lookup LM (default: unigram from the packaged
     lexicon; pass a corpus-fitted BigramLM for real context sensitivity).
-
-    ``annotations``: precomputed token annotations (paragraphs of
-    sentences of TokenAnnotation) replacing segmentation + the heuristic
-    tagger.  ``tree_lookup``: callable mapping a tokenized sentence
-    string to an ``alpino.AlpTree`` (or None) — the reference's
-    alpino_lookup pattern (src/tscan.cxx:3237-3262); sentences without
-    a tree fall back to the reduced parser.
-    Returns a flat dict (stable key set = the output schema).
+    ``annotations``/``tree_lookup``: precomputed Frog/Alpino output, as
+    in :func:`analyze_document`; sentences without a tree fall back to
+    the reduced parser.  Returns a flat dict (stable key set = the
+    output schema).
     """
     lex = lex or default_lexicons()
     if lm is None:
         from tscan_ray.text.surprisal import default_lm
 
         lm = default_lm()
-    if annotations is not None:
-        paragraphs = [[[t.word for t in sent] for sent in para]
-                      for para in annotations]
-    else:
-        paragraphs = segment(text)
-    sent_folds: list[Fold] = []
-    for pi, para in enumerate(paragraphs):
-        prev: Fold | None = None  # prev resets per paragraph (src/tscan.cxx:3018)
-        for si, sent_tokens in enumerate(para):
-            pre = annotations[pi][si] if annotations is not None else None
-            tree = (tree_lookup(" ".join(sent_tokens))
-                    if tree_lookup is not None else None)
-            f = analyze_sentence(sent_tokens, prev, lex, cfg, lm=lm,
-                                 pre=pre, alpino_tree=tree)
-            prev = f
-            sent_folds.append(f)
-    doc = merge_folds(sent_folds)
-    # per-paragraph AL values: parStats::al_gem/al_max = getMeanAL over
-    # the paragraph's sentences (src/structstats.cxx:1693-1694); the doc
-    # level then averages these PARAGRAPH values (two-level rollup)
-    i = 0
-    for para in paragraphs:
-        pf = sent_folds[i:i + len(para)]
-        i += len(para)
-        doc.par_al.append((
-            depparse.doc_mean_al([f.parses[0].al_gem for f in pf if f.parses]),
-            depparse.doc_mean_al([f.parses[0].al_max for f in pf if f.parses]),
-        ))
-
-    return _emit_doc(doc, len(paragraphs), cfg)
+    return emit_document(
+        analyze_document(text, lex, cfg, lm, annotations, tree_lookup), cfg)
 
 
 class _PlainOut(dict):
@@ -1984,13 +2017,11 @@ def feature_groups(cfg: EngineConfig = DEFAULT_CONFIG,
 
 def _featurize_recorded(text: str, cfg: EngineConfig,
                         skip_custom: bool = False) -> "_SectionDict":
-    lex = default_lexicons()
     from tscan_ray.text.surprisal import default_lm
 
-    folds = [analyze_sentence(s, None, lex, cfg, lm=default_lm())
-             for para in segment(text) for s in para]
-    return _emit_doc(merge_folds(folds), 1, cfg, out_cls=_SectionDict,
-                     skip_custom=skip_custom)
+    folds = analyze_document(text, default_lexicons(), cfg, default_lm())
+    return emit_document(folds, cfg, out_cls=_SectionDict,
+                         skip_custom=skip_custom)
 
 
 def _emit_doc(doc: Fold, par_cnt: int, cfg: EngineConfig,
@@ -2577,35 +2608,15 @@ def featurize_paragraphs(
     annotations: list[list[list[TokenAnnotation]]] | None = None,
     tree_lookup=None,
 ) -> list[dict[str, float]]:
-    """Paragraph-level feature vectors — the reference's 4th CSV level
-    (parStats, src/docstats.cxx:24-94): a parStats IS a structStats, so
-    each paragraph gets the SAME emit as the document, computed over the
-    paragraph's own merged sentence folds (paragraph-scoped MTLD /
-    frequency normalization, src/tscan.cxx:3026-3034).  The
-    prev-sentence overlap pointer resets per paragraph exactly as in
-    the document path."""
+    """One feature vector per paragraph (:func:`emit_paragraphs`); the
+    arguments are :func:`featurize_document`'s."""
     lex = lex or default_lexicons()
     if lm is None:
         from tscan_ray.text.surprisal import default_lm
 
         lm = default_lm()
-    out: list[dict[str, float]] = []
-    paragraphs = (annotations if annotations is not None
-                  else segment(text))
-    for para in paragraphs:
-        prev: Fold | None = None
-        folds: list[Fold] = []
-        for sent in para:
-            pre = sent if annotations is not None else None
-            toks = [t.word for t in sent] if pre is not None else sent
-            tree = (tree_lookup(" ".join(toks))
-                    if tree_lookup is not None else None)
-            fold = analyze_sentence(toks, prev, lex, cfg, lm=lm, pre=pre,
-                                    alpino_tree=tree)
-            prev = fold
-            folds.append(fold)
-        out.append(_emit_doc(merge_folds(folds), 1, cfg))
-    return out
+    return emit_paragraphs(
+        analyze_document(text, lex, cfg, lm, annotations, tree_lookup), cfg)
 
 
 def feature_names(cfg: EngineConfig = DEFAULT_CONFIG) -> list[str]:

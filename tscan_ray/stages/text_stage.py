@@ -8,11 +8,11 @@ reference emits its four CSV levels and the FoLiA document from one
 docStats (src/tscan.cxx:3092-3127, src/docstats.cxx:24-94).
 
 :class:`TextStage` owns the once-per-actor setup those stages share
-(config, lexicons, LM, the driver's custom feature groups) and the
-per-row walk: decode the row's annotation column, if any, and yield the
-row's sentence folds grouped by paragraph.  A subclass keeps only its
-row emit.  :func:`map_text_stage` is the one ``map_batches`` call the
-stage wrappers share.
+(config, lexicons, LM, the custom feature groups registered where the
+pipeline is built) and the per-row walk: decode the row's annotation
+column, if any, and yield the row's sentence folds grouped by
+paragraph.  A subclass keeps only its row emit.  :func:`map_text_stage`
+is the one ``map_batches`` call the stage wrappers share.
 
 ``annotations_column``: JSON per row (``sources/folia.annotations_to_json``)
 carrying precomputed Frog/Alpino annotations — the reference's
@@ -53,9 +53,10 @@ class TextStage:
         annotations_column: str | None = None,
         custom_groups: dict | None = None,
     ):
-        # the driver's register_feature_group() registry does not exist
-        # in this (actor) process: map_text_stage snapshots it at
-        # pipeline-build time and it is re-registered here
+        # the register_feature_group() registry of the process that
+        # builds the pipeline does not exist in this (actor) process:
+        # map_text_stage snapshots it at pipeline-build time and it is
+        # re-registered here
         for gname, gfn in (custom_groups or {}).items():
             if gname not in features._CUSTOM_GROUPS:
                 features.register_feature_group(gname, gfn)
@@ -123,7 +124,7 @@ def map_text_stage(ds, stage: type[TextStage], batch_size: int,
                    concurrency, **kwargs):
     """``ds.map_batches`` of a :class:`TextStage` actor pool on zero-copy
     Arrow batches; ``kwargs`` go to the stage's constructor, plus a
-    snapshot of the driver's custom feature groups."""
+    snapshot of this process's custom feature groups."""
     return ds.map_batches(
         stage,
         fn_constructor_kwargs={

@@ -165,9 +165,9 @@ def run_bench() -> dict:
     for f in glob.glob(f"{images_path}/*.parquet"):
         pq.read_table(f)
 
-    # pre-warm the flagship actor pools (untimed, BOTH scaling legs): a
-    # tiny end-to-end pass pays the pool spin-up / per-actor import cost
-    # that belongs to session startup, not steady-state throughput
+    # pre-warm the flagship's worker processes (untimed, BOTH scaling
+    # legs): a tiny end-to-end pass pays the worker start-up and import
+    # cost that belongs to session startup, not steady-state throughput
     warm_path = f"/tmp/bench_images_{sf_tag}_warm"
     if not os.path.isdir(warm_path):
         rd.read_parquet(images_path).limit(512).repartition(4) \

@@ -118,6 +118,44 @@ class TestDistributedPlugins:
         assert list(docs["caps_cnt"]) == [3.0]
         assert list(pars.sort_values("par_idx")["caps_cnt"]) == [3.0, 0.0]
 
+    def test_custom_group_reaches_flagship_table(self, tmp_path):
+        """The flagship's decode+featurize tasks adopt the caller's groups
+        for that job only: a worker reused by the next job must not
+        keep emitting a group the caller has since unregistered."""
+        import pyarrow.parquet as pq
+
+        from tscan_ray.pipelines.flagship import flagship
+        from tscan_ray.sources.images import synth_images_batch
+
+        vocab = ["de", "kat", "slaapt", "vandaag", "buiten", "ondanks",
+                 "regen", "hond", "wandelt", "langzaam"]
+        docs = pa.table({
+            "doc_id": list(range(40)),
+            "text": [" ".join(vocab[(i * 7 + j) % len(vocab)]
+                              for j in range(3 + i % 6)) + " ."
+                     for i in range(40)]})
+        images = synth_images_batch(docs, n_entities=4)
+        for k in range(4):  # four blocks, so several workers featurize
+            pq.write_table(images.slice(10 * k, 10),
+                           tmp_path / f"part-{k}.parquet")
+
+        def long_words(doc, out, cfg):
+            return {"long_cnt":
+                    float(sum(len(w.word) > 5 for w in doc.words))}
+
+        F.register_feature_group("long", long_words)
+        out = flagship(None, images_path=str(tmp_path), n_entities=4,
+                       num_buckets=2).to_pandas()
+        assert "long_cnt" in out.columns
+        want = [F.featurize_document(c)["long_cnt"] for c in out["caption"]]
+        assert list(out["long_cnt"]) == want
+        assert len(set(want)) > 1  # the group separates the captions
+
+        F.unregister_feature_group("long")
+        again = flagship(None, images_path=str(tmp_path), n_entities=4,
+                         num_buckets=2)
+        assert "long_cnt" not in again.schema().names
+
     def test_skip_groups_through_stage(self):
         from tscan_ray.stages.featurizer import featurize
 

@@ -15,6 +15,15 @@ def result():
     return flagship(SF_DIR, n_entities=20, num_buckets=8).to_pandas()
 
 
+@pytest.fixture(scope="module")
+def images_path(tmp_path_factory):
+    from tscan_ray.pipelines.flagship import materialize_images
+
+    return materialize_images(
+        SF_DIR, str(tmp_path_factory.mktemp("flagship") / "images"),
+        n_entities=20)
+
+
 class TestSynthImages:
     def test_schema_and_determinism(self):
         from tscan_ray.sources.images import IMAGE_SCHEMA, synth_images
@@ -94,19 +103,134 @@ class TestFlagship:
     def test_psnr_carried(self, result):
         assert (result["psnr_db"] >= 40.0).all()
 
-    def test_images_path_source_matches_synth(self, result, tmp_path):
+    def test_images_path_source_matches_synth(self, result, images_path):
         """A materialized images table and the inline synthesized one
         feed the same stages and give value-identical rows."""
-        from tscan_ray.pipelines.flagship import flagship, materialize_images
+        from tscan_ray.pipelines.flagship import flagship
         from tscan_ray.state.manifest import value_checksum
 
-        path = materialize_images(SF_DIR, str(tmp_path / "images"),
-                                  n_entities=20)
-        read = flagship(None, images_path=path, n_entities=20,
+        read = flagship(None, images_path=images_path, n_entities=20,
                         num_buckets=8).to_pandas()
         assert len(read) == len(result)
         # value_checksum ignores row and column order
         assert value_checksum(read) == value_checksum(result)
+
+
+class TestDecodeFeaturizeTasks:
+    """The flagship runs decode+featurize as map tasks, each worker
+    process holding one memoized ``DecodeFeaturize``."""
+
+    def test_tasks_match_one_in_process_stage(self, images_path):
+        """The task path gives the values of the stage run in this process
+        over the whole table at once."""
+        import pyarrow.parquet as pq
+
+        from tscan_ray.pipelines.flagship import (
+            KEEP_COLS, DecodeFeaturize, add_timeline_features, flagship)
+        from tscan_ray.state.manifest import value_checksum
+
+        got = flagship(None, images_path=images_path, n_entities=20,
+                       num_buckets=8).to_pandas()
+        table = pq.read_table(images_path)
+        feats = DecodeFeaturize(n_entities=20, keep_columns=KEEP_COLS)(table)
+        want = add_timeline_features(
+            rd.from_arrow(feats), num_buckets=8, snapshot_every=5,
+            n_entities=20).to_pandas()
+        assert len(got) == len(want) == table.num_rows
+        assert value_checksum(got) == value_checksum(want)
+
+    def test_featurize_plans_as_task_pool(self, monkeypatch):
+        from ray.data._internal.logical.optimizers import get_execution_plan
+
+        import tscan_ray.pipelines.flagship as fl
+
+        seen = []  # the featurized Dataset the timeline exchange receives
+        monkeypatch.setattr(fl, "task_exchange",
+                            lambda ds, *a, **k: seen.append(ds) or ds)
+        fl.flagship(SF_DIR, n_entities=20, num_buckets=8)
+        ops, todo = [], [get_execution_plan(seen[0]._logical_plan).dag]
+        while todo:
+            ops.append(todo.pop())
+            todo.extend(ops[-1].input_dependencies)
+        kinds = {op.name: type(op).__name__ for op in ops}
+        featurize = [n for n in kinds if "MapBatches(_decode_featurize)" in n]
+        assert len(featurize) == 1, kinds
+        assert kinds[featurize[0]] == "TaskPoolMapOperator"
+        assert "ActorPoolMapOperator" not in kinds.values()
+
+
+class TestDecodeFeaturizeMemo:
+    """``_decode_featurize`` builds its stage once per worker process and
+    key, in-process here (no Ray)."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        import tscan_ray.pipelines.flagship as fl
+        from tscan_ray.text import features as F
+
+        made = []
+
+        class Counting(fl.DecodeFeaturize):
+            def __init__(self, **kwargs):
+                made.append(kwargs)
+                super().__init__(**kwargs)
+
+        monkeypatch.setattr(fl, "_STAGE", None)
+        monkeypatch.setattr(fl, "DecodeFeaturize", Counting)
+        yield made
+        F.set_custom_groups({})
+
+    @staticmethod
+    def _call(n_entities=20, groups=None):
+        import pyarrow as pa
+
+        from tscan_ray.config import DEFAULT_CONFIG
+        from tscan_ray.pipelines.flagship import KEEP_COLS, _decode_featurize
+        from tscan_ray.sources.images import synth_images_batch
+
+        docs = pa.table({"doc_id": [1, 2],
+                         "text": ["De kat slaapt .", "de hond loopt snel ."]})
+        return _decode_featurize(
+            synth_images_batch(docs, n_entities=20), cfg=DEFAULT_CONFIG,
+            n_entities=n_entities, keep_columns=KEEP_COLS,
+            custom_groups=groups or {})
+
+    def test_same_arguments_build_once(self, built):
+        a, b = self._call(), self._call()
+        assert len(built) == 1
+        assert a.to_pandas().equals(b.to_pandas())  # NaN-aware
+
+    def test_new_key_builds_a_fresh_stage(self, built):
+        import pickle
+
+        import cloudpickle
+
+        self._call()
+        self._call(n_entities=10)
+        assert [k["n_entities"] for k in built] == [20, 10]
+
+        def nwords(doc, out, cfg):
+            return {"nwords_cnt": float(len(doc.words))}
+
+        out = self._call(groups={"nwords": nwords})
+        assert len(built) == 3
+        # tokens, the full stop included
+        assert out.column("nwords_cnt").to_pylist() == [4.0, 5.0]
+        # a task unpickles fresh function objects: same names, same stage
+        shipped = pickle.loads(cloudpickle.dumps({"nwords": nwords}))
+        assert shipped["nwords"] is not nwords
+        self._call(groups=shipped)
+        assert len(built) == 3
+
+        # the same name registered again with other columns: a fresh
+        # stage with the new schema, not a stale column lookup
+        def nchars(doc, out, cfg):
+            return {"nchars_cnt": float(sum(len(w.word) for w in doc.words))}
+
+        out = self._call(groups={"nwords": nchars})
+        assert len(built) == 4
+        assert "nwords_cnt" not in out.column_names
+        assert out.column("nchars_cnt").to_pylist() == [12.0, 16.0]
 
 
 class TestWindowedDiversity:

@@ -3,8 +3,9 @@ point-in-time-enriched feature table.
 
     documents ──synth──▶ images(image_id bytes w h fmt caption phash entity_id ts)
         │ (or a pre-materialized images table read from ``images_path``)
-        │ ONE fused actor pool: decode+validate (PSNR>=40, ahash, drop
-        │ bytes BEFORE any shuffle) → caption featurizer (T-scan vector)
+        │ ONE fused map task per block: decode+validate (PSNR>=40, ahash,
+        │ drop bytes BEFORE any shuffle) → caption featurizer (T-scan
+        │ vector), on every CPU
         ▼
     timeline layer — ONE keyed exchange computing, per entity ordered by ts:
         lag-1 of selected features (strictly past), trailing rolling mean,
@@ -27,7 +28,8 @@ import pandas as pd
 from tscan_ray.config import DEFAULT_CONFIG, EngineConfig
 from tscan_ray.ops.keyed import task_exchange
 from tscan_ray.sources.images import synth_images
-from tscan_ray.stages.featurizer import cluster_cpus, pool_size
+from tscan_ray.stages.featurizer import cluster_cpus
+from tscan_ray.text import features
 
 # features carried into the timeline layer (keep the shuffle narrow)
 TIMELINE_FEATURES = ["MTLD_wrd", "TTR_wrd", "Wrd_freq_log", "wordCnt"]
@@ -35,9 +37,11 @@ KEEP_COLS = ["image_id", "caption", "phash", "entity_id", "ts", "psnr_db", "ahas
 
 
 class DecodeFeaturize:
-    """Fused decode+validate → caption-featurize actor (one pool, one
-    handoff).  Composes the two stage classes — setup for both happens
-    once per actor; each batch flows decoder → featurizer in-process."""
+    """Decode+validate → caption-featurize over one Arrow batch: the
+    per-process stage (lexicons, LM and the feature schema are built once
+    at construction).  The flagship runs it through
+    :func:`_decode_featurize`, one instance per task worker process;
+    perfbench also runs it as an actor and in-process."""
 
     def __init__(self, cfg: EngineConfig = DEFAULT_CONFIG,
                  n_entities: int | None = 50,
@@ -52,6 +56,30 @@ class DecodeFeaturize:
 
     def __call__(self, batch):
         return self.featurizer(self.decoder(batch))
+
+
+# this process's DecodeFeaturize and the key it was built for; a task
+# worker serves block after block, so it builds the stage once per key
+_STAGE: tuple[tuple, DecodeFeaturize] | None = None
+
+
+def _decode_featurize(batch, *, cfg: EngineConfig, n_entities: int | None,
+                      keep_columns: list[str], custom_groups: dict):
+    """The flagship's ``map_batches`` task function.  ``custom_groups`` is
+    the snapshot of the pipeline builder's ``register_feature_group``
+    registry; it becomes this process's registry before the stage is
+    looked up.  ``CaptionFeaturizer`` fixes its columns at construction,
+    so the memo key holds the feature schema those groups give, not the
+    group functions: every task unpickles them afresh, and a group
+    registered again under its old name may emit other columns."""
+    global _STAGE
+    features.set_custom_groups(custom_groups)
+    key = (cfg, n_entities, tuple(keep_columns),
+           tuple(features.feature_names(cfg)))
+    if _STAGE is None or _STAGE[0] != key:
+        _STAGE = (key, DecodeFeaturize(cfg=cfg, n_entities=n_entities,
+                                       keep_columns=keep_columns))
+    return _STAGE[1](batch)
 
 
 def add_timeline_features(
@@ -196,19 +224,19 @@ def flagship(
         images = read_table(images_path)  # Lance when available, else parquet
     else:
         images = synthesized_images(sf_dir, n_entities, amplify, cfg)
-    # ONE fused decode+featurize pool: both stages are pure per-row CPU,
-    # so splitting them bought nothing but a second pool's process-spawn/
-    # import cost and an extra object-store handoff of every row.  Fusing
-    # cuts the fixed startup that dominates the strong-scaling
-    # denominator (BASELINE.md).
+    # ONE fused decode+featurize task per block: both stages are pure
+    # per-row CPU, so splitting them would add an object-store handoff of
+    # every row.  Tasks, not an actor pool: a worker builds its stage once
+    # (_decode_featurize's memo), no job pays an actor spawn, and every
+    # CPU featurizes (BASELINE.md, "Decode+featurize as tasks").
     feats = images.map_batches(
-        DecodeFeaturize,
-        fn_constructor_kwargs={"cfg": cfg, "n_entities": n_entities,
-                               "keep_columns": KEEP_COLS},
+        _decode_featurize,
+        fn_kwargs={"cfg": cfg, "n_entities": n_entities,
+                   "keep_columns": KEEP_COLS,
+                   "custom_groups": dict(features._CUSTOM_GROUPS)},
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=cfg.featurizer_batch_size,
-        concurrency=pool_size(),
     )
     return add_timeline_features(
         feats, cfg=cfg, num_buckets=num_buckets or cfg.num_key_buckets,

@@ -55,11 +55,10 @@ class TextStage:
     ):
         # the register_feature_group() registry of the process that
         # builds the pipeline does not exist in this (actor) process:
-        # map_text_stage snapshots it at pipeline-build time and it is
-        # re-registered here
-        for gname, gfn in (custom_groups or {}).items():
-            if gname not in features._CUSTOM_GROUPS:
-                features.register_feature_group(gname, gfn)
+        # map_text_stage snapshots it at pipeline-build time and it
+        # becomes this process's registry here; None leaves it as it is
+        if custom_groups is not None:
+            features.set_custom_groups(custom_groups)
         self.text_column = text_column
         self.cfg = cfg
         self.annotations_column = annotations_column
@@ -128,7 +127,7 @@ def map_text_stage(ds, stage: type[TextStage], batch_size: int,
     return ds.map_batches(
         stage,
         fn_constructor_kwargs={
-            **kwargs, "custom_groups": dict(features._CUSTOM_GROUPS) or None},
+            **kwargs, "custom_groups": dict(features._CUSTOM_GROUPS)},
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=batch_size,

@@ -1991,6 +1991,18 @@ def unregister_feature_group(name: str) -> None:
     _GROUPS_CACHE.clear()
 
 
+def set_custom_groups(groups: dict) -> None:
+    """Make this process's registry exactly ``groups``, a snapshot of the
+    registry where a pipeline was built.  A worker runs job after job, so
+    a group one job shipped must not outlive it there.  The column-group
+    cache is dropped only when the group names change: every task
+    unpickles fresh functions, which never compare equal."""
+    if list(groups) != list(_CUSTOM_GROUPS):
+        _GROUPS_CACHE.clear()
+    _CUSTOM_GROUPS.clear()
+    _CUSTOM_GROUPS.update(groups)
+
+
 _GROUPS_CACHE: dict[str, dict[str, list[str]]] = {}
 
 

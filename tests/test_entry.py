@@ -63,6 +63,17 @@ def test_query_matches_oracle(name, con):
     _compare(engine, oracle, name)
 
 
+def test_driver_checked_slots_are_oracle_backed():
+    """The driver oracle-checks the first 50 registry entries: each must
+    have an oracle, and the only oracle left past them is pit_bfill (the
+    twin of the checked pit_ffill)."""
+    names = list(entrymod.queries())
+    oracles = set(entrymod.oracle_sql())
+    assert all(n in oracles for n in names[:50])
+    assert "text_word_table_core" in names[:50]
+    assert [n for n in names[50:] if n in oracles] == ["pit_bfill"]
+
+
 ROWS_ONLY = sorted(set(entrymod.queries()) - set(entrymod.oracle_sql())
                    - {"tscan_features", "flagship_images"})
 

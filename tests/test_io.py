@@ -5,13 +5,15 @@ by CONTRACT: a mock ``ray.data.read_lance`` asserts the seam (a) detects
 a Lance dataset layout, (b) passes the column-prune and filter kwargs
 through verbatim, and (c) never falls back to parquet for it.  On a
 cluster with pylance installed the same call sites run the real reader
-unchanged (``read_table`` docstring).
+unchanged (``read_table`` docstring).  ``TestReadBlocks`` pins the
+parquet branch's default of one block per file, at least one per CPU.
 """
 
 from __future__ import annotations
 
 import os
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
@@ -123,3 +125,59 @@ class TestLanceSeam:
         assert seen["path"] == path
         assert "caption" in seen["columns"]
         assert img.count() == 8
+
+
+def _write_files(d, n_files: int, n_cols: int, rows: int) -> None:
+    """``n_files`` parquet files of float columns under ``d``."""
+    rng = np.random.default_rng(7)
+    os.makedirs(d, exist_ok=True)
+    for i in range(n_files):
+        pq.write_table(pa.table({f"c{j}": rng.random(rows)
+                                 for j in range(n_cols)}),
+                       os.path.join(d, f"part-{i}.parquet"))
+
+
+def _blocks(ds) -> int:
+    return ds.materialize().num_blocks()
+
+
+class TestReadBlocks:
+    def test_wide_files_read_one_fused_block_each(self, tmp_path):
+        """8 files of a 300-column table (~19 MB, which Ray's own
+        sizing of ~1 MiB per block would split into 24 blocks) read as
+        8 blocks, and the metadata strip fuses into the read."""
+        from tscan_ray.sources import io
+
+        d = str(tmp_path / "wide")
+        _write_files(d, n_files=8, n_cols=300, rows=1000)
+        ds = io.read_table(d).materialize()
+        assert ds.num_blocks() == 8
+        stats = ds.stats()
+        assert "ReadParquet->MapBatches(<lambda>)" in stats
+        assert "SplitBlocks" not in stats
+
+    def test_single_file_gives_one_block_per_cpu(self, tmp_path):
+        from tscan_ray.sources import io
+        from tscan_ray.stages.featurizer import cluster_cpus
+
+        d = str(tmp_path / "one")
+        _write_files(d, n_files=1, n_cols=3, rows=100)
+        assert _blocks(io.read_table(os.path.join(d, "part-0.parquet"))) \
+            == cluster_cpus()
+
+    def test_explicit_block_count_wins(self, tmp_path):
+        from tscan_ray.sources import io
+
+        d = str(tmp_path / "many")
+        _write_files(d, n_files=8, n_cols=3, rows=100)
+        assert _blocks(io.read_table(d, override_num_blocks=16)) == 16
+
+    def test_nested_files_are_counted(self, tmp_path):
+        from tscan_ray.sources import io
+        from tscan_ray.stages.featurizer import cluster_cpus
+
+        d = tmp_path / "nested"
+        n = cluster_cpus() + 2
+        _write_files(str(d), n_files=2, n_cols=3, rows=100)
+        _write_files(str(d / "sub"), n_files=n - 2, n_cols=3, rows=100)
+        assert _blocks(io.read_table(str(d))) == n

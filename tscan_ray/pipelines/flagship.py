@@ -16,9 +16,10 @@ point-in-time-enriched feature table.
         ▼
     state.manifest.resumable_write (key-hash partitions + manifests)
 
-Scale shape: exactly ONE all-to-all exchange, carrying only the narrow
-feature columns (binary payload dropped at decode).  Everything else
-streams with backpressure.
+Scale shape: exactly ONE all-to-all exchange.  It carries the whole
+featurized row, ~746 columns (the binary payload is dropped at decode);
+the timeline kernel reads only ``TIMELINE_FEATURES`` of them.
+Everything else streams with backpressure.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from tscan_ray.sources.images import synth_images
 from tscan_ray.stages.featurizer import cluster_cpus
 from tscan_ray.text import features
 
-# features carried into the timeline layer (keep the shuffle narrow)
+# the features the timeline kernel reads (the exchange carries every column)
 TIMELINE_FEATURES = ["MTLD_wrd", "TTR_wrd", "Wrd_freq_log", "wordCnt"]
 KEEP_COLS = ["image_id", "caption", "phash", "entity_id", "ts", "psnr_db", "ahash"]
 

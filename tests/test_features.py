@@ -509,3 +509,29 @@ class TestTestdataVocabulary:
         for w, alone, in_sent in zip(words, tagged, tagged_in_sentence):
             assert alone.info.tag == entries[w].tag, (w, alone.info)
             assert in_sent.info.tag == entries[w].tag, (w, in_sent.info)
+
+    def test_no_override_row_shadows_an_exact_entry(self):
+        """Every ``word_overrides.tsv`` row, tagged alone: an exact
+        testdata lexicon entry keeps its own tag, and every other row is
+        applied as written (tag, lemma, morphemes)."""
+        import os
+
+        from tscan_ray.text import tagger
+        from tscan_ray.text.lexicons import _testdata_entries
+        from tscan_ray.text.tagger import tag_sentence
+
+        lex = default_lexicons()
+        entries = _testdata_entries()
+        path = os.path.join(os.path.dirname(tagger.__file__), "data",
+                            "word_overrides.tsv")
+        with open(path, encoding="utf-8") as f:
+            rows = [line.rstrip("\n").split("\t") for line in f
+                    if line.strip() and not line.startswith("#")]
+        assert len(rows) > 300
+        for lw, tag, lemma, morphs, _feats in rows:
+            info = tag_sentence([lw], lex)[0].info
+            if lw in entries:
+                assert info.tag == entries[lw].tag, (lw, info)
+            else:
+                assert (info.tag, info.lemma, info.morphemes) == (
+                    tag, lemma, tuple(morphs.split("+"))), (lw, info)

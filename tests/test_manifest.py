@@ -81,6 +81,158 @@ class TestResumableWrite:
         )
 
 
+def _wide_rows(n=300):
+    """Rows with a string, a timestamp and a nullable column, so the
+    one-pass and shard paths meet more than plain floats."""
+    return pd.DataFrame({
+        "entity_id": [(i * 7) % 23 for i in range(n)],
+        "v": [float(i) for i in range(n)],
+        "s": [f"w{i % 5}" for i in range(n)],
+        "ts": pd.to_datetime(1_700_000_000 + pd.Series(range(n)), unit="s"),
+        "maybe": [None if i % 3 else float(i) for i in range(n)],
+    })
+
+
+def _exchanged(df, nb=8):
+    """``df`` through an identity ``task_exchange``: one block per bucket."""
+    import ray.data as rd
+
+    from tscan_ray.ops.keyed import task_exchange
+
+    def identity(t):
+        return t
+
+    return task_exchange(rd.from_pandas(df), "entity_id", identity, nb,
+                         batch_format="pyarrow")
+
+
+def _digest(out_dir):
+    """sha256 of every part file, and every manifest minus ``wall_s``."""
+    import hashlib
+    import json
+
+    parts = {f: hashlib.sha256(open(os.path.join(out_dir, f), "rb").read())
+             .hexdigest()
+             for f in os.listdir(out_dir) if f.endswith(".parquet")}
+    mans = []
+    for m in read_manifests(out_dir):
+        m.pop("wall_s")
+        mans.append(json.dumps(m, sort_keys=True))
+    return parts, mans
+
+
+class TestOnePassCommit:
+    """A block holding one bucket is written in final part form and
+    committed by rename; every other bucket takes the shard path."""
+
+    def test_one_block_per_bucket_matches_mixed_block(self, ray_session,
+                                                      tmp_path, monkeypatch):
+        import pyarrow as pa
+        import ray
+        import ray.data as rd
+
+        from tscan_ray.state import manifest
+
+        exch = _exchanged(_wide_rows())
+        # the same rows, each bucket's in the same order, in ONE block
+        mixed = rd.from_arrow(pa.concat_tables(ray.get(exch.to_arrow_refs())))
+        out_mixed = str(tmp_path / "mixed")
+        resumable_write(mixed, out_mixed, key="entity_id", num_buckets=8)
+
+        class NoFinalize:
+            @staticmethod
+            def remote(*args):
+                raise AssertionError("one-bucket blocks need no finalize")
+
+        monkeypatch.setattr(manifest, "_finalize_task", NoFinalize)
+        out_one = str(tmp_path / "one")
+        summary = resumable_write(exch, out_one, key="entity_id",
+                                  num_buckets=8)
+        assert summary["rows"].sum() == 300
+        assert summary["partition"].is_monotonic_increasing
+        parts, mans = _digest(out_one)
+        assert len(parts) == 8
+        assert (parts, mans) == _digest(out_mixed)
+        for out in (out_one, out_mixed):
+            assert not os.path.exists(os.path.join(out, "_shards"))
+
+    def test_bucket_in_single_and_mixed_blocks_commits_once(self,
+                                                            ray_session,
+                                                            tmp_path):
+        import numpy as np
+        import pyarrow as pa
+        import ray.data as rd
+
+        from tscan_ray.ops.keyed import bucket_of
+
+        df = _wide_rows()
+        b = bucket_of(df["entity_id"].to_numpy(), 8)
+        k, j = np.unique(b)[:2]
+        rows_k = df.index[b == k]
+        rows_j = df.index[b == j]
+        single_k = df.loc[rows_k[: len(rows_k) // 2]]
+        # bucket j sits in two single-bucket blocks, bucket k in one
+        # single-bucket block and the mixed block
+        single_j1 = df.loc[rows_j[: len(rows_j) // 2]]
+        single_j2 = df.loc[rows_j[len(rows_j) // 2:]]
+        rest = df.drop(single_k.index).drop(rows_j)
+
+        def arrow(frame):
+            return pa.Table.from_pandas(frame, preserve_index=False)
+
+        ds = rd.from_arrow([arrow(single_k), arrow(rest), arrow(single_j1),
+                            arrow(single_j2)])
+        out = str(tmp_path / "out")
+        summary = resumable_write(ds, out, key="entity_id", num_buckets=8)
+        assert summary["partition"].is_unique
+        assert summary["rows"].sum() == len(df)
+        for part in (k, j):
+            got = pq.read_table(
+                os.path.join(out, f"part-{part:05d}.parquet")).to_pandas()
+            assert sorted(got["v"]) == sorted(df.loc[b == part, "v"])
+        ref = str(tmp_path / "ref")
+        resumable_write(rd.from_pandas(df), ref, key="entity_id",
+                        num_buckets=8)
+        assert ({m["partition"]: m["checksum"] for m in read_manifests(out)}
+                == {m["partition"]: m["checksum"]
+                    for m in read_manifests(ref)})
+        assert not os.path.exists(os.path.join(out, "_shards"))
+
+    def test_resume_one_block_per_bucket(self, ray_session, tmp_path):
+        import pyarrow as pa
+
+        from tscan_ray.ops.keyed import bucket_of
+
+        df = _wide_rows()
+        exch = _exchanged(df)
+        out = str(tmp_path / "out")
+        resumable_write(exch, out, key="entity_id", num_buckets=8)
+        done = sorted(completed_partitions(out))
+        victims = done[:2]
+        for k in victims:
+            os.remove(os.path.join(out, f"part-{k:05d}.parquet"))
+            os.remove(os.path.join(out, "_manifest", f"part-{k:05d}.json"))
+        survivors = {
+            k: os.path.getmtime(os.path.join(out, f"part-{k:05d}.parquet"))
+            for k in done[2:]
+        }
+        # a killed run's final-form file for a missing bucket
+        os.makedirs(os.path.join(out, "_shards"))
+        b = bucket_of(df["entity_id"].to_numpy(), 8)
+        stale = df[b == victims[0]].assign(v=-1.0)
+        pq.write_table(pa.Table.from_pandas(stale, preserve_index=False),
+                       os.path.join(out, "_shards", "final-stale.parquet"))
+        summary = resumable_write(exch, out, key="entity_id", num_buckets=8)
+        assert sorted(summary["partition"]) == victims
+        for k, mtime in survivors.items():
+            assert os.path.getmtime(
+                os.path.join(out, f"part-{k:05d}.parquet")) == mtime
+        got = _read_all(out)
+        assert len(got) == len(df)
+        assert sorted(got["v"]) == sorted(df["v"])
+        assert not os.path.exists(os.path.join(out, "_shards"))
+
+
 class TestBucketPin:
     """Resume checks only (key, num_buckets), not the hash: bucket_of
     must never move, or a resumed job would skip the wrong partitions."""

@@ -366,13 +366,39 @@ class TestTwoLevelExchange:
         two = two.sort_values("k").reset_index(drop=True)
         pd.testing.assert_frame_equal(base, two)
 
+    def test_split_offsets_slice_out_each_bucket(self, ray_session):
+        """A split returns ONE object: its rows sorted by bucket and the
+        B+1 offsets; rows offsets[b]:offsets[b+1] are exactly the rows
+        ``bucket_of`` assigns to b, in input order."""
+        import numpy as np
+        import pyarrow as pa
+        import ray
+
+        from tscan_ray.ops.keyed import _split_task, bucket_of
+
+        keys = [(i * 37) % 101 for i in range(300)]
+        t = pa.table({"k": keys, "v": list(range(300))})
+        tbl, offsets = ray.get(
+            _split_task.remote("k", 8, t.slice(0, 120), t.slice(120)))
+        assert len(offsets) == 9 and offsets[0] == 0 and offsets[-1] == 300
+        want = bucket_of(np.array(keys), 8)
+        for b in range(8):
+            got = tbl.slice(offsets[b], offsets[b + 1] - offsets[b])
+            assert got.column("v").to_pylist() == np.flatnonzero(
+                want == b).tolist()
+        for empty in (t.slice(0, 0), pa.table({})):
+            tbl, offsets = ray.get(_split_task.remote("k", 8, empty))
+            assert tbl.num_rows == 0
+            assert offsets.tolist() == [0] * 9
+
     def test_streaming_combine_bounds_driver_refs(self, ray_session,
                                                   monkeypatch):
         """Combines are submitted as split groups fill, so the driver
-        never holds all M×B split refs at once: with group=4 and 40
-        splits the peak must stay near (group+1+combines)×B, far below
-        the drain-everything M×B, and each reduce fans in over
-        ceil(M/group) combine refs instead of M split refs."""
+        never holds all M split refs at once: with group=4 and 40
+        splits the peak is at most group + combines + one pending block
+        (each split or combine is ONE ref, whatever B), far below the
+        drain-everything M, and each reduce fans in over ceil(M/group)
+        combine refs instead of M split refs."""
         import math
 
         import pandas as pd
@@ -390,7 +416,8 @@ class TestTwoLevelExchange:
         assert st["combines"] == 10
         assert st["reduce_fanin"] == st["combines"] == math.ceil(
             st["splits"] / st["group"])
-        # 40 splits x 8 buckets = 320 refs if drained; streaming keeps
-        # peak at combines*B + one in-flight group*B (+ pending blocks)
-        assert st["peak_driver_refs"] < 320
-        assert st["peak_driver_refs"] <= (st["combines"] + 5) * 8 + 8
+        # 40 split refs if drained; streaming keeps the peak at the
+        # combines + one in-flight group (+ one pending block: every
+        # block fills a split bundle)
+        assert st["peak_driver_refs"] <= st["group"] + st["combines"] + 1
+        assert st["peak_driver_refs"] < st["splits"]

@@ -11,17 +11,24 @@ Dataset API can't deliver:
   the hash-shuffle strategy spawns per-partition aggregator actors that
   swamp a small node.  The task shuffle below is 4-8x faster on the
   same input (see BASELINE.md) and is the classic parallel plan:
-  M split tasks (one per ~target-size input bundle, each partitioning
-  its blocks by key hash into B slices) feeding B reduce tasks (concat
-  + the user kernel), wired by object refs — every stage fully
-  parallel, payload moved exactly once.
+  M split tasks (one per ~target-size input bundle, each sorting its
+  blocks by key-hash bucket into ONE object: the sorted rows plus B+1
+  bucket offsets) feeding B reduce tasks (slice bucket b out of each
+  split, concat, apply the user kernel), wired by object refs — every
+  stage fully parallel, payload moved exactly once.
+* one object per split, not B slices: putting a ~746-column Arrow
+  table costs ~45 ms at 117 rows as at 938 (Ray's Arrow reducer walks
+  every column in Python), so B slice puts cost B times one put
+  (BASELINE.md "One object per split, one-pass commit").  Reduces on
+  one node read the split zero-copy from shared memory; on a multi-node
+  cluster a reduce fetches each whole split, trading bytes for puts.
 
 Scale notes
 -----------
 * B (``num_buckets``): sized so one bucket fits a worker heap
   (``>= input_bytes / heap bytes per bucket``) and >= cluster
-  parallelism.  Driver-side ref fan-out is M×B; split inputs are
-  bundled to ``~64 MB`` so M stays ~input_bytes/64MB.  At 100 TB use a
+  parallelism.  The driver holds one ref per split (M); split inputs
+  are bundled to ``~64 MB`` so M stays ~input_bytes/64MB.  At 100 TB use a
   two-level exchange (node-local combine, then cross-node) — same
   algebra, one more tier.
 * Skew: a bucket holds whole entities, so the flagship timeline puts a
@@ -98,48 +105,50 @@ def _as_arrow(block) -> pa.Table:
     return _pandas_to_arrow(block)
 
 
+def _bucket_rows(tbl: pa.Table, offsets: np.ndarray, b: int) -> pa.Table:
+    """Bucket ``b``'s rows of a bucket-sorted table."""
+    return tbl.slice(offsets[b], offsets[b + 1] - offsets[b])
+
+
 @ray.remote
 def _split_task(key: str, num_buckets: int, *blocks):
-    """Partition the input blocks by key hash into ``num_buckets`` slices
-    (ONE stable sort + searchsorted per task — no per-bucket scan)."""
+    """Sort the input blocks by key-hash bucket (ONE stable sort +
+    searchsorted per task — no per-bucket scan).  Returns ONE object:
+    the sorted table and its ``num_buckets + 1`` int64 bucket offsets,
+    so bucket ``b`` is rows ``offsets[b]:offsets[b + 1]``."""
     tbl = pa.concat_tables([_as_arrow(b) for b in blocks], promote_options="default")
     if key not in tbl.column_names:  # schema-less empty blocks
-        empty = tbl.slice(0, 0)
-        return tuple(empty for _ in range(num_buckets))
+        return tbl.slice(0, 0), np.zeros(num_buckets + 1, dtype=np.int64)
     vals = tbl.column(key).to_numpy(zero_copy_only=False)
     b = bucket_of(vals, num_buckets).astype(np.int64)
     order = np.argsort(b, kind="stable")
     tbl = tbl.take(pa.array(order))
-    bs = b[order]
-    cuts = np.searchsorted(bs, np.arange(num_buckets + 1))
-    return tuple(tbl.slice(cuts[i], cuts[i + 1] - cuts[i])
-                 for i in range(num_buckets))
+    offsets = np.searchsorted(b[order], np.arange(num_buckets + 1))
+    return tbl, offsets.astype(np.int64)
 
 
 @ray.remote
-def _combine_task(num_buckets: int, *slices):
+def _combine_task(num_buckets: int, *splits):
     """Intermediate combine tier of the two-level exchange: concatenate a
-    GROUP of split tasks' per-bucket slices into one table per bucket.
-    ``slices`` is laid out as [split0_b0..split0_bB, split1_b0..] —
-    reduce tasks then fan in over ceil(M/group) refs instead of M.  On a
-    multi-node cluster this tier is where node-local combining would
-    happen (one combine per node over its local splits)."""
-    n_splits = len(slices) // num_buckets
-    out = []
-    for b in range(num_buckets):
-        out.append(pa.concat_tables(
-            [slices[j * num_buckets + b] for j in range(n_splits)],
-            promote_options="default"))
-    return tuple(out)
+    GROUP of split outputs bucket by bucket into one table of the same
+    shape (bucket-sorted rows + offsets) — reduce tasks then fan in over
+    ceil(M/group) refs instead of M.  On a multi-node cluster this tier
+    is where node-local combining would happen (one combine per node
+    over its local splits)."""
+    tbl = pa.concat_tables(
+        [_bucket_rows(t, o, b)
+         for b in range(num_buckets) for t, o in splits],
+        promote_options="default")
+    sizes = np.sum([np.diff(o) for _, o in splits], axis=0)
+    return tbl, np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
 
 
 @ray.remote
-def _reduce_task(fn, batch_format: str, *parts):
-    """Concat one bucket's slices and apply the user kernel."""
-    # num_returns=1 delivers the split's 1-tuple un-unpacked
-    parts = [p for part in parts
-             for p in (part if isinstance(part, tuple) else (part,))]
-    tbl = pa.concat_tables(parts, promote_options="default")
+def _reduce_task(fn, batch_format: str, b: int, *parts):
+    """Concat bucket ``b``'s rows out of each split/combine output and
+    apply the user kernel."""
+    tbl = pa.concat_tables([_bucket_rows(t, o, b) for t, o in parts],
+                           promote_options="default")
     if batch_format == "pandas":
         out = fn(tbl.to_pandas())
         if isinstance(out, pd.DataFrame):
@@ -177,9 +186,11 @@ def task_exchange(
     Streaming: split tasks are submitted as upstream blocks arrive
     (``iter_internal_ref_bundles`` is a generator over the running
     pipeline), and each COMBINE task is submitted the moment its group
-    of splits is full — the driver then drops the group's B split refs,
-    so driver-held refs stay bounded at ~(group + combines)×B instead
-    of M×B, and combining overlaps the tail of the upstream scan.
+    of splits is full — the driver then drops the group's split refs,
+    so driver-held refs stay bounded at ~group + combines (+ pending
+    blocks) instead of M, and combining overlaps the tail of the
+    upstream scan.  Each split or combine is ONE object (bucket-sorted
+    rows + offsets); reduce task ``b`` slices its bucket out of each.
     """
     import ray.data as rd
 
@@ -203,15 +214,11 @@ def task_exchange(
     n_splits = n_combines = peak_refs = 0
 
     def live_refs() -> int:
-        per = 1 if num_buckets == 1 else num_buckets
-        return (len(pending_refs) + len(split_group) * per
-                + len(combined) * per)
+        return len(pending_refs) + len(split_group) + len(combined)
 
     def submit_combine():
         nonlocal n_combines
-        flat = [r for split in split_group for r in split]
-        combined.append(_combine_task.options(
-            num_returns=num_buckets).remote(num_buckets, *flat))
+        combined.append(_combine_task.remote(num_buckets, *split_group))
         split_group.clear()
         n_combines += 1
 
@@ -219,10 +226,7 @@ def task_exchange(
         nonlocal pending_refs, pending_bytes, n_splits, peak_refs
         if pending_refs:
             split_group.append(
-                _split_task.options(num_returns=num_buckets).remote(
-                    key, num_buckets, *pending_refs
-                )
-            )
+                _split_task.remote(key, num_buckets, *pending_refs))
             pending_refs, pending_bytes = [], 0
             n_splits += 1
             # combine eagerly per full group (streams with the scan) —
@@ -269,20 +273,10 @@ def task_exchange(
             out = _pandas_to_arrow(out)
         return rd.from_arrow(out)
 
-    if num_buckets == 1:
-        # num_returns=1 gives a bare ref per split
-        LAST_EXCHANGE_STATS["reduce_fanin"] = len(split_group)
-        outs = [_reduce_task.remote(fn, batch_format, *split_group)]
-        return rd.from_arrow_refs(outs)
-
     final = combined + split_group
-    m = len(final)
-    LAST_EXCHANGE_STATS["reduce_fanin"] = m
-    outs = [
-        _reduce_task.remote(fn, batch_format,
-                            *[final[i][b] for i in range(m)])
-        for b in range(num_buckets)
-    ]
+    LAST_EXCHANGE_STATS["reduce_fanin"] = len(final)
+    outs = [_reduce_task.remote(fn, batch_format, b, *final)
+            for b in range(num_buckets)]
     return rd.from_arrow_refs(outs)
 
 

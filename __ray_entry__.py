@@ -612,7 +612,7 @@ def q_agg_lineitem_pricing(sf_dir):
 
 def q_text_surprisal(sf_dir):
     """Fit a bigram LM on the corpus (distributed partial counts), then
-    score every document with it (LM broadcast into the actor pool).
+    score every document with it (LM broadcast to the scoring tasks).
     Uses the dedicated LM-only scorer — NOT the 739-column featurizer —
     for the 6 Wopr columns (equality with the full featurizer path is
     pytest-asserted in tests/test_surprisal.py)."""
@@ -656,7 +656,7 @@ def q_text_paragraph_table(sf_dir):
 
     out = explode_paragraphs(
         _docs(sf_dir).select_columns(["doc_id", "text"]).limit(200),
-        "text", ["doc_id"], concurrency=(1, 4))
+        "text", ["doc_id"])
     return out.select_columns(["doc_id", "par_idx", "wordCnt", "sentCnt",
                                "MTLD_wrd", "TTR_wrd", "LiNT_score1"])
 
@@ -666,7 +666,7 @@ def q_text_sentence_table(sf_dir):
     from tscan_ray.stages.sentences import explode_sentences
 
     out = explode_sentences(_docs(sf_dir).select_columns(["doc_id", "text"]),
-                            "text", ["doc_id"], concurrency=(1, 4))
+                            "text", ["doc_id"])
     return out.select_columns(["doc_id", "par_idx", "sent_idx", "n_tokens",
                                "wordCnt", "contentCnt", "clauseCnt",
                                "d_level", "al_gem", "al_max",
@@ -678,7 +678,7 @@ def q_text_word_table(sf_dir):
     from tscan_ray.stages.words import explode_words
 
     out = explode_words(_docs(sf_dir).select_columns(["doc_id", "text"]),
-                        "text", ["doc_id"], concurrency=(1, 4))
+                        "text", ["doc_id"])
     return out.select_columns(["doc_id", "par_idx", "sent_idx", "word_idx",
                                "word", "lemma", "tag", "is_content",
                                "property_nl", "semtype_nl", "connective_nl",
@@ -694,7 +694,7 @@ def q_text_word_table_core(sf_dir):
     from tscan_ray.stages.words import explode_words
 
     out = explode_words(_docs(sf_dir).select_columns(["doc_id", "text"]),
-                        "text", ["doc_id"], concurrency=(1, 4))
+                        "text", ["doc_id"])
     return out.select_columns(["doc_id", "word_idx", "word", "lemma",
                                "tag", "is_content", "char_cnt"])
 
@@ -710,7 +710,7 @@ def q_image_features(sf_dir):
     docs = _read_pq(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text"]).limit(200)
     images = synth_images(docs, n_entities=20)
-    out = extract_image_features(images, concurrency=(1, 4))
+    out = extract_image_features(images)
     return out.select_columns(["image_id", "mean_r", "mean_g", "mean_b",
                                "luma_mean", "luma_std", "edge_density"])
 
@@ -725,32 +725,26 @@ def q_image_resize(sf_dir):
     docs = _read_pq(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text"]).limit(100)
     images = synth_images(docs, n_entities=20)
-    out = resize_images(images, out_h=8, out_w=8, concurrency=(1, 4))
+    out = resize_images(images, out_h=8, out_w=8)
     return out.select_columns(["image_id", "w", "h", "fmt"])
 
 
 def q_tscan_features(sf_dir):
     from tscan_ray.stages.featurizer import featurize
 
-    # fixed pool sized to the session (an autoscaling (1, N) pool ramps one
-    # actor at a time and leaves the stage mostly serial on short runs)
-    # cap 16, not all-CPUs: leaves room to schedule while a prior stage's
-    # pool is still draining, and 5000-row inputs only fill ~40 batches
-    from tscan_ray.stages.featurizer import pool_size
-
     return featurize(_docs(sf_dir).select_columns(["doc_id", "text"]), "text",
-                     concurrency=pool_size(cap=16), keep_columns=["doc_id"])
+                     keep_columns=["doc_id"])
 
 
 def q_tscan_features_core(sf_dir):
     """SQL-expressible core of the T-scan featurizer (driver-checkable
     slice of the tscan_features pipeline): tokenizer + stoplist counts,
-    char counts and word TTR, computed by the REAL featurizer actors and
+    char counts and word TTR, computed by the REAL featurizer tasks and
     reproduced in DuckDB over the same fixture."""
-    from tscan_ray.stages.featurizer import featurize, pool_size
+    from tscan_ray.stages.featurizer import featurize
 
     out = featurize(_docs(sf_dir).select_columns(["doc_id", "text"]), "text",
-                    concurrency=pool_size(cap=16), keep_columns=["doc_id"])
+                    keep_columns=["doc_id"])
     out = out.select_columns(["doc_id", "wordCnt", "wordInclCnt", "letCnt",
                               "sentCnt", "parCnt", "charCnt", "TTR_wrd",
                               "Let_per_wrd"])
@@ -975,7 +969,7 @@ def q_folia_write(sf_dir):
     shutil.rmtree(out_dir, ignore_errors=True)
     return write_folia(
         _docs(sf_dir).select_columns(["doc_id", "text"]).limit(100),
-        out_dir, concurrency=(1, 4))
+        out_dir)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Feature-group plugin registry (SURVEY §2.10): section map, skip
 toggles, and user-registered groups — including through the distributed
-featurizer actor pool (the driver-side registry must reach actors)."""
+featurizer tasks (the driver-side registry must reach worker processes)."""
 
 import pyarrow as pa
 import pytest
@@ -94,7 +94,7 @@ class TestDistributedPlugins:
         F.register_feature_group("caps", caps_group)
         ds = ray.data.from_arrow(pa.table({
             "caption": ["De Man ziet Amsterdam .", "de kat slaapt ."]}))
-        out = featurize(ds, concurrency=1).to_pandas()
+        out = featurize(ds).to_pandas()
         assert list(out["caps_cnt"]) == [3.0, 0.0]
 
     def test_custom_group_reaches_paragraph_table(self):
@@ -112,9 +112,8 @@ class TestDistributedPlugins:
         ds = ray.data.from_arrow(pa.table({
             "doc_id": [1],
             "caption": ["De Man ziet Amsterdam .\n\nde kat slaapt ."]}))
-        docs = featurize(ds, concurrency=1).to_pandas()
-        pars = explode_paragraphs(ds, "caption", ["doc_id"],
-                                  concurrency=1).to_pandas()
+        docs = featurize(ds).to_pandas()
+        pars = explode_paragraphs(ds, "caption", ["doc_id"]).to_pandas()
         assert list(docs["caps_cnt"]) == [3.0]
         assert list(pars.sort_values("par_idx")["caps_cnt"]) == [3.0, 0.0]
 
@@ -161,7 +160,7 @@ class TestDistributedPlugins:
 
         cfg = EngineConfig(skip_groups=("surprisal", "lint"))
         ds = ray.data.from_arrow(pa.table({"caption": ["de kat slaapt ."]}))
-        out = featurize(ds, cfg=cfg, concurrency=1)
+        out = featurize(ds, cfg=cfg)
         cols = set(out.schema().names)
         assert "LiNT_score1" not in cols and "Log_prob_fwd" not in cols
         assert "Wrd_per_zin" in cols

@@ -55,7 +55,7 @@ class TestDecodeValidate:
 
         docs = rd.read_parquet(f"{SF_DIR}/documents.parquet").limit(60)
         imgs = synth_images(docs, n_entities=20)
-        out = decode_validate(imgs, n_entities=20, concurrency=2).to_pandas()
+        out = decode_validate(imgs, n_entities=20).to_pandas()
         assert out["decode_ok"].all()
         assert (out["psnr_db"] >= 40.0).all()
         # png rows are lossless -> exact
@@ -69,7 +69,7 @@ class TestDecodeValidate:
 
         docs = rd.read_parquet(f"{SF_DIR}/documents.parquet").limit(40).to_pandas()
         imgs = synth_images(rd.from_pandas(docs), n_entities=20)
-        out = decode_validate(imgs, n_entities=20, concurrency=2).to_pandas()
+        out = decode_validate(imgs, n_entities=20).to_pandas()
         out["doc_id"] = out["image_id"].str.slice(4).astype(int)
         merged = out.merge(docs, on="doc_id")
         assert (merged["caption"] == merged["text"]).all()
@@ -116,9 +116,54 @@ class TestFlagship:
         assert value_checksum(read) == value_checksum(result)
 
 
+# every library map stage
+STAGES = ["featurize", "explode_paragraphs", "explode_sentences",
+          "explode_words", "write_folia", "score_surprisal",
+          "decode_validate", "resize_images", "extract_image_features",
+          "broadcast_join", "flagship"]
+
+
+def _stage_dataset(stage, monkeypatch, tmp_path):
+    """The Dataset ``stage`` gives, built lazily over a one-row input; for
+    the flagship, the featurized Dataset its timeline exchange receives."""
+    import tscan_ray.pipelines.flagship as fl
+    from tscan_ray.ops.join import broadcast_join
+    from tscan_ray.stages.decode import decode_validate
+    from tscan_ray.stages.featurizer import featurize
+    from tscan_ray.stages.folia_writer import write_folia
+    from tscan_ray.stages.image_ops import extract_image_features, resize_images
+    from tscan_ray.stages.paragraphs import explode_paragraphs
+    from tscan_ray.stages.sentences import explode_sentences
+    from tscan_ray.stages.words import explode_words
+    from tscan_ray.text.surprisal import score_surprisal
+
+    ds = rd.from_items([{"doc_id": 1, "text": "De kat slaapt ."}])
+    if stage == "flagship":
+        seen = []
+        monkeypatch.setattr(fl, "task_exchange",
+                            lambda ds, *a, **k: seen.append(ds) or ds)
+        fl.flagship(SF_DIR, n_entities=20, num_buckets=8)
+        return seen[0]
+    return {
+        "featurize": lambda: featurize(ds, "text"),
+        "explode_paragraphs": lambda: explode_paragraphs(ds, "text",
+                                                         ["doc_id"]),
+        "explode_sentences": lambda: explode_sentences(ds, "text",
+                                                       ["doc_id"]),
+        "explode_words": lambda: explode_words(ds, "text", ["doc_id"]),
+        "write_folia": lambda: write_folia(ds, str(tmp_path)),
+        "score_surprisal": lambda: score_surprisal(ds, "text"),
+        "decode_validate": lambda: decode_validate(ds),
+        "resize_images": lambda: resize_images(ds, 8, 8),
+        "extract_image_features": lambda: extract_image_features(ds),
+        "broadcast_join": lambda: broadcast_join(
+            ds, pd.DataFrame({"doc_id": [1], "x": [2]}), "doc_id"),
+    }[stage]()
+
+
 class TestDecodeFeaturizeTasks:
-    """The flagship runs decode+featurize as map tasks, each worker
-    process holding one memoized ``DecodeFeaturize``."""
+    """The flagship runs decode+featurize as map tasks that build a
+    ``DecodeFeaturize`` per batch, like every library map stage."""
 
     def test_tasks_match_one_in_process_stage(self, images_path):
         """The task path gives the values of the stage run in this process
@@ -139,96 +184,76 @@ class TestDecodeFeaturizeTasks:
         assert len(got) == len(want) == table.num_rows
         assert value_checksum(got) == value_checksum(want)
 
-    def test_featurize_plans_as_task_pool(self, monkeypatch):
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_featurize_plans_as_task_pool(self, stage, monkeypatch,
+                                          tmp_path):
         from ray.data._internal.logical.optimizers import get_execution_plan
 
-        import tscan_ray.pipelines.flagship as fl
-
-        seen = []  # the featurized Dataset the timeline exchange receives
-        monkeypatch.setattr(fl, "task_exchange",
-                            lambda ds, *a, **k: seen.append(ds) or ds)
-        fl.flagship(SF_DIR, n_entities=20, num_buckets=8)
-        ops, todo = [], [get_execution_plan(seen[0]._logical_plan).dag]
+        ds = _stage_dataset(stage, monkeypatch, tmp_path)
+        ops, todo = [], [get_execution_plan(ds._logical_plan).dag]
         while todo:
             ops.append(todo.pop())
             todo.extend(ops[-1].input_dependencies)
         kinds = {op.name: type(op).__name__ for op in ops}
-        featurize = [n for n in kinds if "MapBatches(_decode_featurize)" in n]
-        assert len(featurize) == 1, kinds
-        assert kinds[featurize[0]] == "TaskPoolMapOperator"
+        mapped = [n for n in kinds if "MapBatches(_run_stage)" in n]
+        assert len(mapped) == 1, kinds
+        assert kinds[mapped[0]] == "TaskPoolMapOperator"
         assert "ActorPoolMapOperator" not in kinds.values()
 
 
-class TestDecodeFeaturizeMemo:
-    """``_decode_featurize`` builds its stage once per worker process and
-    key, in-process here (no Ray)."""
+class TestRunStage:
+    """``stages._run_stage`` builds the flagship's stage for one batch,
+    in-process here (no Ray), under the custom groups it is given."""
 
-    @pytest.fixture
-    def built(self, monkeypatch):
-        import tscan_ray.pipelines.flagship as fl
+    @pytest.fixture(autouse=True)
+    def _clean_registry(self):
         from tscan_ray.text import features as F
 
-        made = []
-
-        class Counting(fl.DecodeFeaturize):
-            def __init__(self, **kwargs):
-                made.append(kwargs)
-                super().__init__(**kwargs)
-
-        monkeypatch.setattr(fl, "_STAGE", None)
-        monkeypatch.setattr(fl, "DecodeFeaturize", Counting)
-        yield made
+        yield
         F.set_custom_groups({})
 
     @staticmethod
-    def _call(n_entities=20, groups=None):
+    def _call(groups):
         import pyarrow as pa
 
         from tscan_ray.config import DEFAULT_CONFIG
-        from tscan_ray.pipelines.flagship import KEEP_COLS, _decode_featurize
+        from tscan_ray.pipelines.flagship import KEEP_COLS, DecodeFeaturize
         from tscan_ray.sources.images import synth_images_batch
+        from tscan_ray.stages import _run_stage
 
         docs = pa.table({"doc_id": [1, 2],
                          "text": ["De kat slaapt .", "de hond loopt snel ."]})
-        return _decode_featurize(
-            synth_images_batch(docs, n_entities=20), cfg=DEFAULT_CONFIG,
-            n_entities=n_entities, keep_columns=KEEP_COLS,
-            custom_groups=groups or {})
+        return _run_stage(
+            synth_images_batch(docs, n_entities=20), stage=DecodeFeaturize,
+            kwargs={"cfg": DEFAULT_CONFIG, "n_entities": 20,
+                    "keep_columns": KEEP_COLS, "custom_groups": groups})
 
-    def test_same_arguments_build_once(self, built):
-        a, b = self._call(), self._call()
-        assert len(built) == 1
-        assert a.to_pandas().equals(b.to_pandas())  # NaN-aware
-
-    def test_new_key_builds_a_fresh_stage(self, built):
+    def test_shipped_group_emits_its_column(self):
         import pickle
 
         import cloudpickle
 
-        self._call()
-        self._call(n_entities=10)
-        assert [k["n_entities"] for k in built] == [20, 10]
-
         def nwords(doc, out, cfg):
             return {"nwords_cnt": float(len(doc.words))}
 
-        out = self._call(groups={"nwords": nwords})
-        assert len(built) == 3
-        # tokens, the full stop included
-        assert out.column("nwords_cnt").to_pylist() == [4.0, 5.0]
-        # a task unpickles fresh function objects: same names, same stage
+        # a task unpickles fresh function objects
         shipped = pickle.loads(cloudpickle.dumps({"nwords": nwords}))
         assert shipped["nwords"] is not nwords
-        self._call(groups=shipped)
-        assert len(built) == 3
+        out = self._call(shipped)
+        # tokens, the full stop included
+        assert out.column("nwords_cnt").to_pylist() == [4.0, 5.0]
 
-        # the same name registered again with other columns: a fresh
-        # stage with the new schema, not a stale column lookup
+    def test_group_registered_again_changes_columns(self):
+        def nwords(doc, out, cfg):
+            return {"nwords_cnt": float(len(doc.words))}
+
         def nchars(doc, out, cfg):
             return {"nchars_cnt": float(sum(len(w.word) for w in doc.words))}
 
-        out = self._call(groups={"nwords": nchars})
-        assert len(built) == 4
+        assert "nwords_cnt" in self._call({"nwords": nwords}).column_names
+        # the same name registered again with other columns: the next
+        # call emits the new schema, not a stale column lookup
+        out = self._call({"nwords": nchars})
         assert "nwords_cnt" not in out.column_names
         assert out.column("nchars_cnt").to_pylist() == [12.0, 16.0]
 

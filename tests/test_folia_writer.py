@@ -78,7 +78,7 @@ def test_folia_writer_round_trip_golden(ray_session, tmp_path, lex):
     lex_ref = ray.put(lex)
     manifest = write_folia(rd.from_items(rows), out_dir,
                            annotations_column="annotations",
-                           concurrency=2, lexicons_ref=lex_ref).to_pandas()
+                           lexicons_ref=lex_ref).to_pandas()
     assert sorted(manifest["doc_id"]) == sorted(cases)
 
     emitted_sent = (set(COUNTER_METRICS) | set(COUNTER_METRICS_EXT)

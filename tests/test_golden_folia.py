@@ -302,7 +302,7 @@ def test_distributed_annotated_featurizer(ray_session, tmp_path):
 
     ds = rd.from_items(rows)
     lex_ref = ray.put(reference_test_lexicons())
-    out = featurize(ds, text_column="caption", concurrency=2,
+    out = featurize(ds, text_column="caption",
                     annotations_column="annotations", lexicons_ref=lex_ref,
                     keep_columns=["doc_id"]).to_pandas()
     assert len(out) == 3
@@ -337,7 +337,7 @@ def test_sentence_table_stage_annotated(ray_session):
     }]
     lex_ref = ray.put(reference_test_lexicons())
     out = explode_sentences(rd.from_items(rows), "text", ["doc_id"],
-                            concurrency=1, lexicons_ref=lex_ref,
+                            lexicons_ref=lex_ref,
                             annotations_column="annotations").to_pandas()
     out = out.sort_values(["par_idx", "sent_idx"]).reset_index(drop=True)
     assert len(out) == len(doc.sent_metrics)
@@ -480,7 +480,7 @@ def test_paragraph_table_stage_annotated(ray_session):
     }]
     lex_ref = ray.put(reference_test_lexicons())
     out = explode_paragraphs(rd.from_items(rows), "text", ["doc_id"],
-                             concurrency=1, lexicons_ref=lex_ref,
+                             lexicons_ref=lex_ref,
                              annotations_column="annotations").to_pandas()
     out = out.sort_values("par_idx").reset_index(drop=True)
     assert len(out) == len(doc.par_metrics)

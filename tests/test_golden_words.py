@@ -152,7 +152,7 @@ def test_word_table_stage_annotated(ray_session):
     }]
     lex_ref = ray.put(reference_test_lexicons())
     out = explode_words(rd.from_items(rows), "text", ["doc_id"],
-                        concurrency=1, lexicons_ref=lex_ref,
+                        lexicons_ref=lex_ref,
                         annotations_column="annotations").to_pandas()
     golden = [w for s in doc.word_metrics for w in s]
     assert len(out) == len(golden)

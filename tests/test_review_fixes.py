@@ -2,6 +2,7 @@
 
 import numpy as np
 import pandas as pd
+import pytest
 import ray.data as rd
 
 
@@ -163,7 +164,7 @@ class TestDecodeBadId:
             "h": pa.array([8], type=pa.int32()),
             "fmt": ["png"], "caption": ["x"],
         }))
-        out = decode_validate(ds, concurrency=1).to_pandas()
+        out = decode_validate(ds).to_pandas()
         # falls back to the re-encode round-trip check, no crash
         assert len(out) == 1
         assert bool(out["decode_ok"].iloc[0])
@@ -296,8 +297,7 @@ class TestRound3AdviceFixes:
         ds = rd.from_arrow(pa.table({
             "doc_id": pa.array([1], type=pa.int64()),
             "text": ["de kat slaapt .\n\nde hond blaft ."]}))
-        out = explode_paragraphs(ds, "text", ["doc_id"], cfg=cfg,
-                                 concurrency=1).to_pandas()
+        out = explode_paragraphs(ds, "text", ["doc_id"], cfg=cfg).to_pandas()
         assert len(out) == 2
         assert "Log_prob_fwd" not in out.columns
         assert "Wrd_per_zin" in out.columns
@@ -348,6 +348,45 @@ class TestRound3AdviceFixes:
         lm = fit_bigram_lm(rd.from_arrow(docs), "text")
         lm_ref = ray.put(lm)
         out = explode_words(rd.from_arrow(docs), "text", ["doc_id"],
-                            concurrency=1, lm_ref=lm_ref).to_pandas()
+                            lm_ref=lm_ref).to_pandas()
         kat = out[out["word"] == "kat"].iloc[0]
         assert kat["lprob_fwd"] == lm.logprob10("kat", "de")
+
+
+class TestBroadcastJoinRightCols:
+    """``broadcast_join`` projects a pandas right side to ``right_cols``
+    exactly as it projects a Dataset."""
+
+    RIGHT = {"k": [1, 2, 2], "v": [10, 20, 21], "x": [7, 8, 9],
+             "extra": ["a", "b", "c"]}
+
+    def _join(self, right, how, right_cols=("v",)):
+        from tscan_ray.ops.join import broadcast_join
+
+        left = rd.from_pandas(pd.DataFrame({"k": [1, 2, 3], "x": [1, 2, 3]}))
+        out = broadcast_join(left, right, on="k", how=how,
+                             right_cols=list(right_cols)).to_pandas()
+        return out.sort_values(list(out.columns)).reset_index(drop=True)
+
+    @pytest.mark.parametrize("how", ["inner", "left"])
+    def test_pandas_right_attaches_only_right_cols(self, how):
+        got = self._join(pd.DataFrame(self.RIGHT), how)
+        assert list(got.columns) == ["k", "x", "v"]  # no x_x / x_y, no extra
+        want = self._join(rd.from_pandas(pd.DataFrame(self.RIGHT)), how)
+        pd.testing.assert_frame_equal(got, want)
+
+    @pytest.mark.parametrize("how", ["semi", "anti"])
+    def test_pandas_right_broadcasts_only_the_key(self, how, monkeypatch):
+        from types import SimpleNamespace
+
+        import ray
+
+        from tscan_ray.ops import join as join_mod
+
+        put = []  # what broadcast_join puts in the object store
+        monkeypatch.setattr(join_mod, "ray", SimpleNamespace(
+            put=lambda obj: put.append(obj) or ray.put(obj)))
+        got = self._join(pd.DataFrame(self.RIGHT), how)
+        assert [list(p.columns) for p in put] == [["k"]]
+        assert list(got.columns) == ["k", "x"]
+        assert got["k"].tolist() == ([1, 2] if how == "semi" else [3])

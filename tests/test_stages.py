@@ -21,8 +21,7 @@ class TestExplodeWords:
     def test_one_row_per_token(self, ray_session):
         from tscan_ray.stages.words import explode_words
 
-        out = explode_words(_docs_ds(), "text", ["doc_id"],
-                            concurrency=(1, 2)).to_pandas()
+        out = explode_words(_docs_ds(), "text", ["doc_id"]).to_pandas()
         # doc1: 6 tokens; doc2: 3 + 5 tokens (2 paragraphs); doc3: 0
         assert len(out) == 6 + 8
         d1 = out[out.doc_id == 1]
@@ -37,8 +36,7 @@ class TestExplodeWords:
     def test_content_flags(self, ray_session):
         from tscan_ray.stages.words import explode_words
 
-        out = explode_words(_docs_ds(), "text", ["doc_id"],
-                            concurrency=(1, 2)).to_pandas()
+        out = explode_words(_docs_ds(), "text", ["doc_id"]).to_pandas()
         kat = out[(out.word == "kat") & (out.doc_id == 1)].iloc[0]
         assert kat["is_content"]
         assert kat["lemma"] == "kat"
@@ -63,7 +61,7 @@ class TestImageOps:
         from tscan_ray.stages.image_ops import resize_nearest, resize_images
 
         ds, rows = self._images_ds()
-        out = resize_images(ds, out_h=8, out_w=6, concurrency=(1, 2)).to_pandas()
+        out = resize_images(ds, out_h=8, out_w=6).to_pandas()
         assert (out["w"] == 6).all() and (out["h"] == 8).all()
         px0 = decode_image(out[out.image_id == "img0"]["bytes"].iloc[0])
         assert px0.shape == (8, 6, 3)
@@ -75,7 +73,7 @@ class TestImageOps:
         from tscan_ray.stages.image_ops import extract_image_features
 
         ds, rows = self._images_ds()
-        out = extract_image_features(ds, concurrency=(1, 2)).to_pandas()
+        out = extract_image_features(ds).to_pandas()
         assert "bytes" not in out.columns  # dropped before any shuffle
         for c in ("mean_r", "luma_mean", "luma_std", "edge_density"):
             assert np.isfinite(out[c]).all()
@@ -119,8 +117,7 @@ class TestExplodeSentences:
     def test_one_row_per_sentence(self, ray_session):
         from tscan_ray.stages.sentences import explode_sentences
 
-        out = explode_sentences(_docs_ds(), "text", ["doc_id"],
-                                concurrency=(1, 2)).to_pandas()
+        out = explode_sentences(_docs_ds(), "text", ["doc_id"]).to_pandas()
         # doc1: 1 sentence; doc2: 1 + 1 (two paragraphs); doc3: 0
         assert len(out) == 3
         d1 = out[out.doc_id == 1].iloc[0]
@@ -153,11 +150,10 @@ class TestCustomWordlist:
             "text": ["de fiets ging snel", "een huis was groot"],
         }))
         lex = with_custom_wordlist(["fiets", "huis"], classification="thing")
-        out = featurize(docs, "text", concurrency=1, keep_columns=["doc_id"],
+        out = featurize(docs, "text", keep_columns=["doc_id"],
                         lexicons_ref=ray.put(lex)).to_pandas()
         assert (out.sort_values("doc_id")["myClassCnt"] == [1, 1]).all()
-        base = featurize(docs, "text", concurrency=1,
-                         keep_columns=["doc_id"]).to_pandas()
+        base = featurize(docs, "text", keep_columns=["doc_id"]).to_pandas()
         assert (base["myClassCnt"] == 0).all()
 
     def test_wordlist_table_form(self):
@@ -187,8 +183,7 @@ class TestFeaturizerEdgeCases:
             "text": pa.array([None, "", "   \t  ", "🎉 好 мир",
                               ("ha " * 2000).strip()], type=pa.string()),
         }))
-        out = featurize(docs, "text", concurrency=1,
-                        keep_columns=["doc_id"]).to_pandas()
+        out = featurize(docs, "text", keep_columns=["doc_id"]).to_pandas()
         out = out.sort_values("doc_id").reset_index(drop=True)
         assert len(out) == 5
         assert out.loc[0, "wordCnt"] == 0  # null
@@ -211,8 +206,7 @@ class TestParagraphTable:
         two_par = ("de man ziet de kat . de kat loopt weg .\n\n"
                    "het huis staat in de stad . de stad is erg groot .")
         ds = rd.from_arrow(pa.table({"doc_id": [7], "text": [two_par]}))
-        out = explode_paragraphs(ds, "text", ["doc_id"],
-                                 concurrency=1).to_pandas()
+        out = explode_paragraphs(ds, "text", ["doc_id"]).to_pandas()
         assert len(out) == 2
         assert out["par_idx"].tolist() == [0, 1]
         assert (out["doc_id"] == 7).all()

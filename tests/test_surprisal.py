@@ -140,7 +140,7 @@ class TestOovMissingSentinel:
         from tscan_ray.stages.words import explode_words
 
         ds = rd.from_items([{"doc_id": 1, "text": "De man ziet de kat ."}])
-        tbl = explode_words(ds, "text", ["doc_id"], concurrency=1).to_pandas()
+        tbl = explode_words(ds, "text", ["doc_id"]).to_pandas()
         assert {"lprob_fwd", "lprob_bwd"} <= set(tbl.columns)
         words = tbl[tbl["prop"] != "ISLET"]
         assert (words["lprob_fwd"] < 0).all()
@@ -195,7 +195,7 @@ class TestDocSurprisalScorer:
             {"doc_id": i, "text": t} for i, t in enumerate(self.CASES)
         ])
         out = score_surprisal(ds, "text", lm_ref=ray.put(lm),
-                              keep_columns=["doc_id"], concurrency=1)
+                              keep_columns=["doc_id"])
         df = out.to_pandas().sort_values("doc_id").reset_index(drop=True)
         assert len(df) == len(self.CASES)
         for i, text in enumerate(self.CASES):

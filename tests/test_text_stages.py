@@ -143,9 +143,9 @@ class TestAnnotatedStages:
         from tscan_ray.stages.featurizer import featurize
         from tscan_ray.stages.paragraphs import explode_paragraphs
 
-        docs = featurize(_ds(), "text", concurrency=1, keep_columns=["doc_id"],
+        docs = featurize(_ds(), "text", keep_columns=["doc_id"],
                          annotations_column="ann").to_pandas()
-        pars = explode_paragraphs(_ds(), "text", ["doc_id"], concurrency=1,
+        pars = explode_paragraphs(_ds(), "text", ["doc_id"],
                                   annotations_column="ann").to_pandas()
         docs = docs.set_index("doc_id")
         for doc_id, (paras, _) in _DOCS.items():
@@ -175,7 +175,7 @@ class TestAnnotatedStages:
         from tscan_ray.stages.words import explode_words
 
         explode = explode_sentences if level == "sentences" else explode_words
-        out = explode(_ds(), "text", ["doc_id"], concurrency=1,
+        out = explode(_ds(), "text", ["doc_id"],
                       annotations_column="ann").to_pandas()
         lex, lm = default_lexicons(), default_lm()
         walks = {i: analyze_document("", lex, DEFAULT_CONFIG, lm, *_fresh(i))

@@ -3,11 +3,12 @@
 The reference's only joins are broadcast lexicon lookups frozen into
 process memory (SURVEY.md §2.5).  This operator is the dataset-level
 generalization: the small side is materialized ONCE, put in the Ray
-object store, and fetched once per actor — the big side streams through
-``map_batches`` with a vectorized pandas merge per batch.  No all-to-all
-exchange: at 100 TB this is the correct plan whenever one side fits in
-worker memory (lexicons, dimension tables); use a keyed-bucket shuffle
-(ops/keyed.py) only when both sides are large.
+object store, and read from the node's shared copy by each task — the
+big side streams through ``map_batches`` tasks with a vectorized pandas
+merge per batch.  No all-to-all exchange: at 100 TB this is the correct
+plan whenever one side fits in worker memory (lexicons, dimension
+tables); use a keyed-bucket shuffle (ops/keyed.py) only when both sides
+are large.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ import pandas as pd
 
 import ray
 
+from tscan_ray.stages import map_stage
+
 
 class _BroadcastMerge:
-    """Actor-pool UDF: fetch the broadcast table once per actor."""
+    """Per-batch stage: fetch the broadcast table, merge one batch."""
 
     def __init__(self, right_ref, on: str, how: str):
-        self.right = ray.get(right_ref)  # zero-copy read of the shared copy
+        self.right = ray.get(right_ref)  # read of the node's shared copy
         self.on = on
         self.how = how
         if how in ("semi", "anti"):
@@ -43,7 +46,6 @@ def broadcast_join(
     on: str,
     right_cols: list[str] | None = None,
     how: str = "inner",
-    concurrency=None,
     batch_size: int = 16384,
 ):
     """Join ``left`` (large, streaming) with ``right`` (small) on ``on``.
@@ -59,20 +61,11 @@ def broadcast_join(
         raise ValueError(how)
     if how in ("semi", "anti"):
         right_cols = [on]  # only the key set crosses the wire
-    if concurrency is None:
-        # autoscaling (min=1) so chained joins can share a small session
-        # without deadlocking on actor placement; the max adapts to the
-        # session's CPUs
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        concurrency = (1, max(1, min(8, cpus - 1)))
-    if isinstance(right, pd.DataFrame):
-        rdf = right
-    else:
-        if right_cols is not None:
-            right = right.select_columns(
-                [on] + [c for c in right_cols if c != on]
-            )
-        rdf = right.to_pandas()
+    if right_cols is not None:
+        cols = [on] + [c for c in right_cols if c != on]
+        right = (right[cols] if isinstance(right, pd.DataFrame)
+                 else right.select_columns(cols))
+    rdf = right if isinstance(right, pd.DataFrame) else right.to_pandas()
     # fail loudly if a big side was mis-passed as the broadcast side —
     # silently ray.put-ing it would OOM the driver/object store instead.
     # deep=True so string payload bytes count (deep=False sees only the
@@ -89,14 +82,8 @@ def broadcast_join(
         raise ValueError(
             f"broadcast side is ~{approx_bytes >> 20} MiB; broadcast_join "
             "expects a dimension-sized right side — use exchange_join")
-    ref = ray.put(rdf)
-    return left.map_batches(
-        _BroadcastMerge,
-        fn_constructor_kwargs={"right_ref": ref, "on": on, "how": how},
-        batch_format="pandas",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return map_stage(left, _BroadcastMerge, batch_size, "pandas",
+                     right_ref=ray.put(rdf), on=on, how=how)
 
 
 def exchange_join(

@@ -29,6 +29,7 @@ import pandas as pd
 from tscan_ray.config import DEFAULT_CONFIG, EngineConfig
 from tscan_ray.ops.keyed import task_exchange
 from tscan_ray.sources.images import synth_images
+from tscan_ray.stages import map_stage
 from tscan_ray.stages.featurizer import cluster_cpus
 from tscan_ray.text import features
 
@@ -38,49 +39,28 @@ KEEP_COLS = ["image_id", "caption", "phash", "entity_id", "ts", "psnr_db", "ahas
 
 
 class DecodeFeaturize:
-    """Decode+validate → caption-featurize over one Arrow batch: the
-    per-process stage (lexicons, LM and the feature schema are built once
-    at construction).  The flagship runs it through
-    :func:`_decode_featurize`, one instance per task worker process;
-    perfbench also runs it as an actor and in-process."""
+    """Decode+validate → caption-featurize over one Arrow batch.  The
+    flagship builds one per batch through ``stages.map_stage`` (the
+    lexicons and LM are process-cached, so a build costs about 2 ms);
+    perfbench also runs it as an actor and in-process.
+    ``custom_groups`` goes to :class:`CaptionFeaturizer`: the snapshot of
+    the pipeline builder's ``register_feature_group`` registry."""
 
     def __init__(self, cfg: EngineConfig = DEFAULT_CONFIG,
                  n_entities: int | None = 50,
-                 keep_columns: list[str] | None = None):
+                 keep_columns: list[str] | None = None,
+                 custom_groups: dict | None = None):
         from tscan_ray.stages.decode import DecodeValidate
         from tscan_ray.stages.featurizer import CaptionFeaturizer
 
         self.decoder = DecodeValidate(cfg=cfg, drop_bytes=True,
                                       n_entities=n_entities)
         self.featurizer = CaptionFeaturizer(text_column="caption", cfg=cfg,
-                                            keep_columns=keep_columns)
+                                            keep_columns=keep_columns,
+                                            custom_groups=custom_groups)
 
     def __call__(self, batch):
         return self.featurizer(self.decoder(batch))
-
-
-# this process's DecodeFeaturize and the key it was built for; a task
-# worker serves block after block, so it builds the stage once per key
-_STAGE: tuple[tuple, DecodeFeaturize] | None = None
-
-
-def _decode_featurize(batch, *, cfg: EngineConfig, n_entities: int | None,
-                      keep_columns: list[str], custom_groups: dict):
-    """The flagship's ``map_batches`` task function.  ``custom_groups`` is
-    the snapshot of the pipeline builder's ``register_feature_group``
-    registry; it becomes this process's registry before the stage is
-    looked up.  ``CaptionFeaturizer`` fixes its columns at construction,
-    so the memo key holds the feature schema those groups give, not the
-    group functions: every task unpickles them afresh, and a group
-    registered again under its old name may emit other columns."""
-    global _STAGE
-    features.set_custom_groups(custom_groups)
-    key = (cfg, n_entities, tuple(keep_columns),
-           tuple(features.feature_names(cfg)))
-    if _STAGE is None or _STAGE[0] != key:
-        _STAGE = (key, DecodeFeaturize(cfg=cfg, n_entities=n_entities,
-                                       keep_columns=keep_columns))
-    return _STAGE[1](batch)
 
 
 def add_timeline_features(
@@ -227,18 +207,11 @@ def flagship(
         images = synthesized_images(sf_dir, n_entities, amplify, cfg)
     # ONE fused decode+featurize task per block: both stages are pure
     # per-row CPU, so splitting them would add an object-store handoff of
-    # every row.  Tasks, not an actor pool: a worker builds its stage once
-    # (_decode_featurize's memo), no job pays an actor spawn, and every
-    # CPU featurizes (BASELINE.md, "Decode+featurize as tasks").
-    feats = images.map_batches(
-        _decode_featurize,
-        fn_kwargs={"cfg": cfg, "n_entities": n_entities,
-                   "keep_columns": KEEP_COLS,
-                   "custom_groups": dict(features._CUSTOM_GROUPS)},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=cfg.featurizer_batch_size,
-    )
+    # every row.  Tasks, not an actor pool: no job pays an actor spawn and
+    # every CPU featurizes (BASELINE.md, "Decode+featurize as tasks").
+    feats = map_stage(images, DecodeFeaturize, cfg.featurizer_batch_size,
+                      cfg=cfg, n_entities=n_entities, keep_columns=KEEP_COLS,
+                      custom_groups=dict(features._CUSTOM_GROUPS))
     return add_timeline_features(
         feats, cfg=cfg, num_buckets=num_buckets or cfg.num_key_buckets,
         snapshot_every=snapshot_every, n_entities=n_entities,

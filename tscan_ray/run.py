@@ -14,8 +14,8 @@ per line on stdin; each text file is analysed immediately (annotated
 FoLiA saved to ``<name>.tscan.xml`` — or ``--stdin-out DIR`` — plus the
 four CSV levels when ``--csv``), the finished name is echoed on stdout,
 a lone ``.`` exits, an empty line polls again after 0.1 s.  The Ray
-session and actor pools persist across files, so per-file latency is
-the pipeline cost, not session startup.
+session and its worker processes persist across files, so per-file
+latency is the pipeline cost, not session startup.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def _run_stdin(args) -> int:
         ds = rd.from_items([{"doc_id": doc_id, "text": text}])
         out_dir = args.stdin_out or os.path.dirname(os.path.abspath(path))
         manifest = write_folia(ds, out_dir, text_column="text",
-                               id_column="doc_id", concurrency=(1, 1))
+                               id_column="doc_id")
         rows = manifest.take_all()
         if args.csv:
             from tscan_ray.stages.featurizer import featurize
@@ -51,15 +51,13 @@ def _run_stdin(args) -> int:
 
             base = os.path.join(out_dir, doc_id)
             src = rd.from_items([{"doc_id": doc_id, "text": text}])
-            featurize(src, "text", concurrency=(1, 1)) \
+            featurize(src, "text") \
                 .drop_columns(["text"]).write_csv(base + ".doc.csv")
-            explode_paragraphs(src, "text", ["doc_id"],
-                               concurrency=(1, 1)) \
+            explode_paragraphs(src, "text", ["doc_id"]) \
                 .write_csv(base + ".par.csv")
-            explode_sentences(src, "text", ["doc_id"],
-                              concurrency=(1, 1)) \
+            explode_sentences(src, "text", ["doc_id"]) \
                 .write_csv(base + ".sent.csv")
-            explode_words(src, "text", ["doc_id"], concurrency=(1, 1)) \
+            explode_words(src, "text", ["doc_id"]) \
                 .write_csv(base + ".word.csv")
         return rows[0] if rows else {}
 

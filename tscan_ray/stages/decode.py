@@ -15,9 +15,10 @@ hash of the decoded pixels), ``decode_ok`` (bool).  ``drop_bytes=True``
 removes the heavy binary column afterwards — ALWAYS do this before any
 wide shuffle (SURVEY.md §7.4: shuffles must stay narrow).
 
-This is an actor-pool ``map_batches`` stage (codec state is trivial
-today, but a real decoder would hold codec contexts / GPU handles in
-``__init__`` — the plumbing is the contract, per the multimodal brief).
+This is a ``map_batches`` task stage that builds a
+:class:`DecodeValidate` per batch: its state is a config and two flags.
+A real decoder whose codec contexts are costly to build would keep them
+in a process-level cache, as the lexicons are kept, not in an actor.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import pyarrow as pa
 from tscan_ray.config import DEFAULT_CONFIG, EngineConfig
 from tscan_ray.sources import codecs
 from tscan_ray.sources.images import make_pixels
+from tscan_ray.stages import map_stage
 
 
 class DecodeValidate:
@@ -78,14 +80,6 @@ class DecodeValidate:
 
 
 def decode_validate(ds, cfg: EngineConfig = DEFAULT_CONFIG,
-                    drop_bytes: bool = True, n_entities: int | None = 50,
-                    concurrency=(1, 8)):
-    return ds.map_batches(
-        DecodeValidate,
-        fn_constructor_kwargs={"cfg": cfg, "drop_bytes": drop_bytes,
-                               "n_entities": n_entities},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=cfg.decode_batch_size,
-        concurrency=concurrency,
-    )
+                    drop_bytes: bool = True, n_entities: int | None = 50):
+    return map_stage(ds, DecodeValidate, cfg.decode_batch_size, cfg=cfg,
+                     drop_bytes=drop_bytes, n_entities=n_entities)

@@ -1,27 +1,21 @@
-"""Caption featurizer stage: a stateful ``map_batches`` actor pool.
+"""Caption featurizer stage, run as Ray Data tasks.
 
-A :class:`~tscan_ray.stages.text_stage.TextStage`: lexicons are built
-ONCE per actor (the reference loads its ~20 lexicon files once at
-startup, src/tscan.cxx:862-1119); each ``__call__`` walks one zero-copy
-Arrow batch and appends the flat document feature vector columns.
+A :class:`~tscan_ray.stages.text_stage.TextStage`: the lexicons come from
+the process-cached ``default_lexicons()``, so each worker process loads
+them ONCE (the reference loads its ~20 lexicon files once at startup,
+src/tscan.cxx:862-1119); each ``__call__`` walks one zero-copy Arrow
+batch and appends the flat document feature vector columns.
 
 Usage::
 
-    ds = ds.map_batches(
-        CaptionFeaturizer,
-        fn_constructor_kwargs={"text_column": "caption"},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=cfg.featurizer_batch_size,
-        concurrency=N,              # actor pool size
-    )
+    ds = featurize(ds, "caption")   # map_stage(ds, CaptionFeaturizer, ...)
 
 Scale notes: the stage is embarrassingly parallel (a document never
 spans rows, SURVEY.md §7.0) — no shuffle, no skew concern beyond row
 size; hot phash-bucket entities do NOT affect this stage because it is
-keyed by nothing.  Lexicons are a few MB → per-actor copies are cheap;
-for very large lexicons pass ``lexicons_ref=ray.put(lex)`` so all actors
-on a node share one object-store copy.
+keyed by nothing.  Lexicons are a few MB → per-process copies are cheap;
+for very large lexicons pass ``lexicons_ref=ray.put(lex)`` so all
+workers on a node share one object-store copy.
 """
 
 from __future__ import annotations
@@ -42,9 +36,9 @@ def cluster_cpus() -> int:
 
 
 def pool_size(cap: int = 32, headroom: int = 2) -> int:
-    """Fixed actor-pool size that fits the current session: cluster CPUs
-    minus headroom for read/shuffle tasks (an actor RESERVES its CPU for
-    life — a pool equal to all CPUs starves every other stage)."""
+    """Actor-pool size that fits the current session: cluster CPUs minus
+    headroom for read/shuffle tasks.  The library starts no actor pool;
+    the benchmark harness sizes its own with this."""
     return max(1, min(cap, cluster_cpus() - headroom))
 
 
@@ -72,14 +66,13 @@ def featurize(
     ds,
     text_column: str = "caption",
     cfg: EngineConfig = DEFAULT_CONFIG,
-    concurrency=None,
     batch_size: int | None = None,
     keep_columns: list[str] | None = None,
     lm_ref=None,
     lexicons_ref=None,
     annotations_column: str | None = None,
 ):
-    """Attach the feature-vector columns to a Dataset (actor-pool stage).
+    """Attach the feature-vector columns to a Dataset (task stage).
 
     ``annotations_column``: name of a JSON annotation column
     (``sources/folia.annotations_to_json``) — rows carrying precomputed
@@ -87,19 +80,14 @@ def featurize(
     heuristic tagger (the reference's ``alpino_lookup.data`` pattern,
     src/tscan.cxx:168-221, as a distributed column).
 
-    ``concurrency``: int = fixed pre-started pool (best throughput; must
-    fit the cluster), tuple = autoscaling, None = fixed pool sized to the
-    session's CPUs minus headroom for the read/shuffle tasks.
-
     ``lexicons_ref``: ``ray.put()`` of a customized LexiconBundle (e.g.
     from :func:`with_custom_wordlist`) — the user-extension hook mirroring
     the reference's CLAM custom-wordlist upload
     (webservice/tscanservice/tscanwrapper.py:73-88): one object-store
-    copy, fetched once per actor.
+    copy, fetched once per batch.
     """
     return map_text_stage(
         ds, CaptionFeaturizer, batch_size or cfg.featurizer_batch_size,
-        pool_size() if concurrency is None else concurrency,
         text_column=text_column, cfg=cfg, keep_columns=keep_columns,
         lm_ref=lm_ref, lexicons_ref=lexicons_ref,
         annotations_column=annotations_column)

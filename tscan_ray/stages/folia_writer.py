@@ -5,11 +5,11 @@ with ``<metric class=... value=...>`` elements at word, sentence,
 paragraph and document level (``doc->save(outName)`` after addMetrics,
 reference src/tscan.cxx:3474-3476; metric writers
 src/wordstats.cxx:691-800, src/structstats.cxx:1051-1372).  The engine
-equivalent: an actor-pool ``map_batches`` stage that analyzes each
+equivalent: a ``map_batches`` task stage that analyzes each
 document (or consumes its precomputed annotation column), renders the
 annotated FoLiA document, and writes one ``<doc_id>.xml`` per input doc
 (atomic replace — resumable, idempotent under retries).  The returned
-dataset is the write manifest (doc_id, path, n_words).  The actor is a
+dataset is the write manifest (doc_id, path, n_words).  The stage is a
 :class:`~tscan_ray.stages.text_stage.TextStage`, which owns the setup
 and the document walk; this module keeps only the XML render and write.
 
@@ -237,7 +237,6 @@ def write_folia(
     id_column: str = "doc_id",
     annotations_column: str | None = None,
     cfg: EngineConfig = DEFAULT_CONFIG,
-    concurrency=(1, 8),
     batch_size: int = 64,
     lexicons_ref=None,
     lm_ref=None,
@@ -245,7 +244,7 @@ def write_folia(
     """Write one annotated FoLiA XML per document (S3); returns the
     write-manifest Dataset (doc_id, path, n_words)."""
     return map_text_stage(
-        ds, FoliaWriter, batch_size, concurrency,
+        ds, FoliaWriter, batch_size,
         out_dir=out_dir, text_column=text_column, id_column=id_column,
         annotations_column=annotations_column, cfg=cfg,
         lexicons_ref=lexicons_ref, lm_ref=lm_ref)

@@ -1,13 +1,12 @@
 """Image transform stages: resize, feature extraction, frame sampling.
 
 Multimodal columns are opaque ``binary`` payloads with typed metadata
-(image_id, w, h, fmt); every transform here is an actor-pool
-``map_batches`` stage sized for large payloads (small ``batch_size``,
-SURVEY.md §4.2).  Decode uses the engine's self-contained codecs
-(sources/codecs.py): a REAL minimal PNG codec and a clearly-marked stub
-lossy codec — the Ray-side plumbing (schema, batch sizing, actor
-signature, output layout) is real and tested; swap in PIL/cv2 decode on
-a production cluster.
+(image_id, w, h, fmt); every transform here is a ``map_batches`` task
+stage sized for large payloads (small ``batch_size``, SURVEY.md §4.2).
+Decode uses the engine's self-contained codecs (sources/codecs.py): a
+REAL minimal PNG codec and a clearly-marked stub lossy codec — the
+Ray-side plumbing (schema, batch sizing, stage signature, output layout)
+is real and tested; swap in PIL/cv2 decode on a production cluster.
 
 Video frame-sampling is a STUB (no video codec in this container): the
 deterministic fake treats the binary payload as a concatenation of
@@ -22,6 +21,7 @@ import pyarrow as pa
 
 from tscan_ray.config import DEFAULT_CONFIG, EngineConfig
 from tscan_ray.sources.codecs import decode_image, encode_png
+from tscan_ray.stages import map_stage
 
 
 def resize_nearest(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -50,7 +50,7 @@ def image_features(pixels: np.ndarray) -> dict[str, float]:
 
 
 class ImageResize:
-    """Decode -> resize -> re-encode (PNG) actor stage."""
+    """Decode -> resize -> re-encode (PNG) stage."""
 
     def __init__(self, out_h: int, out_w: int, bytes_col: str = "bytes"):
         self.out_h, self.out_w = out_h, out_w
@@ -106,21 +106,12 @@ def sample_frames_stub(payload: bytes, frame_size: int, every_k: int) -> list[by
     return [payload[i * frame_size:(i + 1) * frame_size] for i in range(0, n, every_k)]
 
 
-def resize_images(ds, out_h: int, out_w: int, cfg: EngineConfig = DEFAULT_CONFIG,
-                  concurrency=(1, 8)):
-    return ds.map_batches(
-        ImageResize,
-        fn_constructor_kwargs={"out_h": out_h, "out_w": out_w},
-        batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=cfg.decode_batch_size, concurrency=concurrency,
-    )
+def resize_images(ds, out_h: int, out_w: int, cfg: EngineConfig = DEFAULT_CONFIG):
+    return map_stage(ds, ImageResize, cfg.decode_batch_size,
+                     out_h=out_h, out_w=out_w)
 
 
 def extract_image_features(ds, drop_bytes: bool = True,
-                           cfg: EngineConfig = DEFAULT_CONFIG, concurrency=(1, 8)):
-    return ds.map_batches(
-        ImageFeatures,
-        fn_constructor_kwargs={"drop_bytes": drop_bytes},
-        batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=cfg.decode_batch_size, concurrency=concurrency,
-    )
+                           cfg: EngineConfig = DEFAULT_CONFIG):
+    return map_stage(ds, ImageFeatures, cfg.decode_batch_size,
+                     drop_bytes=drop_bytes)

@@ -6,8 +6,8 @@ row carries the SAME feature vector as the document level, computed
 over the paragraph's own merged sentence folds — paragraph-scoped MTLD
 and frequency normalization (src/tscan.cxx:3026-3034) fall out of that
 for free.  One output row per paragraph; a document's paragraphs never
-span input rows, so the stage is a pure no-shuffle actor-pool map like
-the word/sentence explodes.  The actor is a
+span input rows, so the stage is a pure no-shuffle task map like
+the word/sentence explodes.  The stage is a
 :class:`~tscan_ray.stages.text_stage.TextStage`, which owns the setup
 and the document walk; this module keeps only the paragraph row emit.
 """
@@ -51,17 +51,16 @@ def explode_paragraphs(
     text_column: str,
     id_columns: list[str],
     cfg: EngineConfig = DEFAULT_CONFIG,
-    concurrency=(1, 8),
     batch_size: int = 64,
     lexicons_ref=None,
     lm_ref=None,
     annotations_column: str | None = None,
 ):
-    """One output row per paragraph of ``text_column`` (actor-pool stage).
+    """One output row per paragraph of ``text_column`` (task stage).
     ``annotations_column``: JSON annotation column (sources/folia), same
     contract as the featurizer/word/sentence stages."""
     return map_text_stage(
-        ds, ParagraphExploder, batch_size, concurrency,
+        ds, ParagraphExploder, batch_size,
         text_column=text_column, id_columns=id_columns, cfg=cfg,
         lexicons_ref=lexicons_ref, lm_ref=lm_ref,
         annotations_column=annotations_column)

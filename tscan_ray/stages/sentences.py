@@ -5,7 +5,7 @@ reference emits at that level (reference src/structstats.cxx:89-121 row
 emit; sentence counters from the sentStats ctor): token counts, content/
 name counts, parse-derived AL mean/max + D-level + clause counts, and
 the LM sentence metrics.  Same no-shuffle shape as the word explode —
-a document's sentences never span input rows.  The actor is a
+a document's sentences never span input rows.  The stage is a
 :class:`~tscan_ray.stages.text_stage.TextStage`, which owns the setup
 and the document walk; this module keeps only the sentence row emit.
 """
@@ -74,19 +74,18 @@ def explode_sentences(
     text_column: str,
     id_columns: list[str],
     cfg: EngineConfig = DEFAULT_CONFIG,
-    concurrency=(1, 8),
     batch_size: int = 128,
     lexicons_ref=None,
     lm_ref=None,
     annotations_column: str | None = None,
 ):
-    """One output row per sentence of ``text_column`` (actor-pool stage).
+    """One output row per sentence of ``text_column`` (task stage).
 
     ``annotations_column``: JSON annotation column (sources/folia) —
     rows with precomputed Frog/Alpino annotations bypass the heuristic
     tagger / reduced parser, like the featurizer and word table."""
     return map_text_stage(
-        ds, SentenceExploder, batch_size, concurrency,
+        ds, SentenceExploder, batch_size,
         text_column=text_column, id_columns=id_columns, cfg=cfg,
         lexicons_ref=lexicons_ref, lm_ref=lm_ref,
         annotations_column=annotations_column)

@@ -1,4 +1,4 @@
-"""Shared base of the text-output actor stages.
+"""Shared base of the text-output stages.
 
 Every text output — the document feature table (``featurizer``), the
 paragraph, sentence and word tables (``paragraphs``, ``sentences``,
@@ -7,12 +7,12 @@ analyzed document tree, ``text.features.analyze_document``, as the
 reference emits its four CSV levels and the FoLiA document from one
 docStats (src/tscan.cxx:3092-3127, src/docstats.cxx:24-94).
 
-:class:`TextStage` owns the once-per-actor setup those stages share
-(config, lexicons, LM, the custom feature groups registered where the
-pipeline is built) and the per-row walk: decode the row's annotation
-column, if any, and yield the row's sentence folds grouped by
-paragraph.  A subclass keeps only its row emit.  :func:`map_text_stage`
-is the one ``map_batches`` call the stage wrappers share.
+:class:`TextStage` owns the setup those stages share (config,
+lexicons, LM, the custom feature groups registered where the pipeline
+is built) and the per-row walk: decode the row's annotation column, if
+any, and yield the row's sentence folds grouped by paragraph.  A
+subclass keeps only its row emit.  :func:`map_text_stage` runs a stage
+as Ray Data tasks (``stages.map_stage``) for the stage wrappers.
 
 ``annotations_column``: JSON per row (``sources/folia.annotations_to_json``)
 carrying precomputed Frog/Alpino annotations — the reference's
@@ -32,6 +32,7 @@ import ray
 
 from tscan_ray.config import DEFAULT_CONFIG, EngineConfig
 from tscan_ray.sources.folia import annotations_from_json
+from tscan_ray.stages import map_stage
 from tscan_ray.text import features
 from tscan_ray.text.features import Fold, analyze_document
 from tscan_ray.text.lexicons import default_lexicons
@@ -39,7 +40,7 @@ from tscan_ray.text.surprisal import default_lm
 
 
 class TextStage:
-    """Once-per-actor setup + the per-row document walk.  Subclasses take
+    """Per-stage setup + the per-row document walk.  Subclasses take
     their own row-emit arguments and pass the rest (``cfg``,
     ``lexicons_ref``, ``lm_ref``, ``annotations_column``,
     ``custom_groups``) through to this constructor."""
@@ -54,7 +55,7 @@ class TextStage:
         custom_groups: dict | None = None,
     ):
         # the register_feature_group() registry of the process that
-        # builds the pipeline does not exist in this (actor) process:
+        # builds the pipeline does not exist in this (worker) process:
         # map_text_stage snapshots it at pipeline-build time and it
         # becomes this process's registry here; None leaves it as it is
         if custom_groups is not None:
@@ -119,17 +120,9 @@ def repeat_ids(batch: pa.Table, id_columns: list[str],
     return {c: taken.column(c) for c in id_columns}
 
 
-def map_text_stage(ds, stage: type[TextStage], batch_size: int,
-                   concurrency, **kwargs):
-    """``ds.map_batches`` of a :class:`TextStage` actor pool on zero-copy
-    Arrow batches; ``kwargs`` go to the stage's constructor, plus a
-    snapshot of this process's custom feature groups."""
-    return ds.map_batches(
-        stage,
-        fn_constructor_kwargs={
-            **kwargs, "custom_groups": dict(features._CUSTOM_GROUPS)},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+def map_text_stage(ds, stage: type[TextStage], batch_size: int, **kwargs):
+    """:func:`~tscan_ray.stages.map_stage` of a :class:`TextStage`;
+    ``kwargs`` go to the stage's constructor, plus a snapshot of this
+    process's custom feature groups."""
+    return map_stage(ds, stage, batch_size, **kwargs,
+                     custom_groups=dict(features._CUSTOM_GROUPS))

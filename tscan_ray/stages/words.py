@@ -3,10 +3,10 @@
 The reference writes one CSV row per word with the wordStats fields
 (reference src/wordstats.cxx:381-407, emit per level
 src/docstats.cxx:24-94).  The engine equivalent: explode each document
-into one output row per token — a ``map_batches`` actor stage (lexicons
+into one output row per token — a ``map_batches`` task stage (lexicons
 in ``__init__``) that turns N caption rows into ΣN_tokens word rows.
 No shuffle: a document's words never span input rows.
-The actor is a :class:`~tscan_ray.stages.text_stage.TextStage`, which
+The stage is a :class:`~tscan_ray.stages.text_stage.TextStage`, which
 owns the setup and the document walk; this module keeps only the word
 row emit.
 """
@@ -116,20 +116,19 @@ def explode_words(
     text_column: str,
     id_columns: list[str],
     cfg: EngineConfig = DEFAULT_CONFIG,
-    concurrency=(1, 8),
     batch_size: int = 256,
     lexicons_ref=None,
     lm_ref=None,
     annotations_column: str | None = None,
 ):
-    """One output row per token of ``text_column`` (actor-pool stage).
+    """One output row per token of ``text_column`` (task stage).
 
     ``lm_ref``: ``ray.put`` handle of a corpus-fitted LM so word-level
     lprob_fwd/bwd come from the SAME model as the document-level
     surprisal aggregates (the reference feeds both CSV levels from one
     Wopr model); defaults to the packaged unigram LM."""
     return map_text_stage(
-        ds, WordExploder, batch_size, concurrency,
+        ds, WordExploder, batch_size,
         text_column=text_column, id_columns=id_columns, cfg=cfg,
         lexicons_ref=lexicons_ref, lm_ref=lm_ref,
         annotations_column=annotations_column)

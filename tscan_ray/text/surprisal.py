@@ -5,13 +5,13 @@ per-sentence avg_prob10 / entropy / perplexity from a Wopr LM server
 (reference src/tscan.cxx:1978-2064; doc normalizations
 src/tscan.cxx:2843-2864).  The sandbox has no Wopr and the north rule
 demands reproducibility, so per SURVEY.md §7.0 (M4) the engine uses a
-**lookup-table bigram LM held in actor state**:
+**lookup-table bigram LM held in stage state**:
 
 * ``BigramLM`` — Laplace-smoothed bigram with unigram backoff, built
   either from the packaged lexicon frequencies (default, unigram-only)
   or **fitted distributedly from a corpus** with :func:`fit_bigram_lm`
   (map_batches partial counts -> one small groupby -> driver-side table,
-  bounded by vocabulary size, broadcast to actors via ``ray.put``).
+  bounded by vocabulary size, broadcast to scoring tasks via ``ray.put``).
 * forward logprob10 = log10 P(w_i | w_{i-1}); backward =
   log10 P(w_i | w_{i+1}) (the reverse conditional from the same table).
 * sentence aggregates (what Wopr's FoLiA metrics carried):
@@ -125,7 +125,7 @@ def fit_bigram_lm(ds, text_col: str, min_count: int = 1) -> BigramLM:
     driver.  The driver only materializes the trimmed vocabulary table
     (the thing that must fit in the LM anyway); an unbounded driver-side
     Counter fold (the r01 design) would not survive an open-vocabulary
-    web corpus.  The fitted LM is broadcast to scoring actors via
+    web corpus.  The fitted LM is broadcast to scoring tasks via
     ``ray.put``.
     """
     import pandas as pd
@@ -249,8 +249,9 @@ def doc_surprisal(text: str, lm: BigramLM) -> dict[str, float]:
 
 
 class SurprisalScorer:
-    """Actor-pool stage: LM broadcast once per actor (ray.get in
-    __init__), per-batch pure-Python scoring over the text column."""
+    """Surprisal stage: the LM is the process-cached default or the
+    ``ray.put`` broadcast (ray.get in __init__), then pure-Python scoring
+    over the batch's text column."""
 
     def __init__(self, text_column: str = "text", lm_ref=None,
                  keep_columns: list[str] | None = None):
@@ -273,20 +274,13 @@ class SurprisalScorer:
 
 
 def score_surprisal(ds, text_col: str, lm_ref=None,
-                    keep_columns: list[str] | None = None,
-                    concurrency=None):
+                    keep_columns: list[str] | None = None):
     """LM-only surprisal scoring over a Dataset: read only the needed
-    columns, score in a fixed actor pool.  ~100x less per-row work than
+    columns, score as tasks.  ~100x less per-row work than
     ``featurize(...)`` + select when only the Wopr columns are wanted."""
-    from tscan_ray.stages.featurizer import pool_size
+    from tscan_ray.stages import map_stage
 
     keep = keep_columns or []
     ds = ds.select_columns(list(dict.fromkeys([*keep, text_col])))
-    return ds.map_batches(
-        SurprisalScorer,
-        fn_constructor_kwargs={"text_column": text_col, "lm_ref": lm_ref,
-                               "keep_columns": keep},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=concurrency or pool_size(cap=16),
-    )
+    return map_stage(ds, SurprisalScorer, None, text_column=text_col,
+                     lm_ref=lm_ref, keep_columns=keep)

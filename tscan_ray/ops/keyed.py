@@ -173,8 +173,8 @@ def task_exchange(
     batch_format: str = "pandas",
 ):
     """Apply a vectorized multi-key kernel to each key-hash bucket
-    (two-stage parallel hash exchange).  Returns a new Dataset of the
-    kernel outputs.
+    (two-stage parallel hash exchange).  Returns a materialized Dataset
+    of the kernel outputs, one block per bucket.
 
     ``fn`` receives one bucket (all rows of every entity hashed to it) as
     a pandas DataFrame (default) or a pyarrow Table
@@ -277,7 +277,11 @@ def task_exchange(
     LAST_EXCHANGE_STATS["reduce_fanin"] = len(final)
     outs = [_reduce_task.remote(fn, batch_format, b, *final)
             for b in range(num_buckets)]
-    return rd.from_arrow_refs(outs)
+    # materialized, the output is its own computed snapshot: a consumer's
+    # iter_internal_ref_bundles() gets the reduce blocks without starting
+    # a streaming executor, whose start-up deep-copies every block's
+    # schema (~0.2 s on 8 buckets of 746 columns)
+    return rd.from_arrow_refs(outs).materialize()
 
 
 def as_arrow_type(t) -> pa.DataType:

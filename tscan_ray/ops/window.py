@@ -19,6 +19,8 @@ transforms over all keys at once — no per-entity Python loop.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pandas as pd
 
@@ -193,11 +195,12 @@ def rolling_text_diversity(
     (including the current row; ts' <= ts, leakage-free).
 
     MTLD is order-dependent and NON-decomposable (forward+reverse passes
-    with a partial remainder, reference src/tscan.cxx:1806-1875), so the
-    window recomputes from buffered raw token lists — the SURVEY.md §7.4
-    rule: never merge partial MTLD factors.  Tokens are computed once per
-    row (not once per window); per-row cost is O(window · tokens), bounded
-    by the window size, independent of entity history length.
+    with a partial remainder, reference src/tscan.cxx:1806-1875), so each
+    window is walked from its raw tokens — the SURVEY.md §7.4 rule: never
+    merge partial MTLD factors.  Tokens are computed once per row (not
+    once per window), and one vectorized walk advances every window of
+    the bucket together, so the Python steps are the longest window's
+    token count, independent of the row count and entity history.
 
     Adds ``ttr_w{window}`` and ``mtld_w{window}`` columns.
     """
@@ -212,56 +215,31 @@ def rolling_diversity_frame(df: pd.DataFrame, key: str, text_col: str,
                             window: int) -> pd.DataFrame:
     """Shared kernel: trailing-window TTR/MTLD columns over an ALREADY
     (key, ts)-sorted frame.  Used by :func:`rolling_text_diversity` and by
-    the flagship's fused timeline UDF."""
-    from tscan_ray.text.kernels import average_mtld, ttr as ttr_fn
-    from tscan_ray.text.tokenize import is_punct, tokenize
+    the flagship's fused timeline UDF.
 
-    from collections import Counter, deque
+    Row i's window is the lowercased words of its entity's rows
+    ``max(entity start, i - window + 1) .. i``; a missing text (None /
+    NaN) has no words.  Every row's window goes through one
+    :func:`~tscan_ray.text.kernels.windowed_diversity` call."""
+    from tscan_ray.text.kernels import windowed_diversity
+    from tscan_ray.text.tokenize import words
 
-    toks = [
-        [t.lower() for t in tokenize(x or "") if not is_punct(t)]
-        for x in df[text_col].tolist()
-    ]
+    rows = [words(x) for x in df[text_col].fillna("").tolist()]
+    # lowercase each distinct form once, then map the forms to ids
+    codes, forms = pd.factorize(np.asarray(
+        list(itertools.chain.from_iterable(rows)), dtype=object))
+    ids = pd.factorize(np.asarray([f.lower() for f in forms],
+                                  dtype=object))[0][codes]
+    n = len(rows)
+    off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=off[1:])
     keys = df[key].to_numpy()
-    n = len(df)
-    ttrs = np.empty(n, dtype=np.float64)
-    mtlds = np.empty(n, dtype=np.float64)
-    # incremental window state (reused across rows): TTR from counter
-    # deltas — O(row tokens) per step instead of O(window * tokens) —
-    # plus a FLAT compacting token buffer (one C-level slice per row
-    # instead of a python flatten loop).  MTLD itself is recomputed per
-    # row: it is a position-dependent scan, not decomposable (SURVEY
-    # §7.4), so its O(window * tokens) walk is the irreducible floor.
-    lens: deque[int] = deque()   # per-row token counts in the window
-    flat: list[str] = []         # window tokens, [off:] is live
-    off = 0
-    cnt: Counter = Counter()
-    for i in range(n):
-        if i > 0 and keys[i] != keys[i - 1]:
-            lens.clear()
-            flat = []
-            off = 0
-            cnt.clear()
-        row = toks[i]
-        lens.append(len(row))
-        flat.extend(row)
-        cnt.update(row)
-        if len(lens) > window:
-            drop = lens.popleft()
-            for t in flat[off:off + drop]:
-                c = cnt[t] - 1
-                if c:
-                    cnt[t] = c
-                else:
-                    del cnt[t]
-            off += drop
-            if off > 4096 and off * 2 > len(flat):
-                flat = flat[off:]
-                off = 0
-        total = len(flat) - off
-        live = flat[off:] if off else flat
-        ttrs[i] = (len(cnt) / total) if total else ttr_fn([])
-        mtlds[i] = average_mtld(live)
+    idx = np.arange(n)
+    first = np.ones(n, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    entity_start = np.maximum.accumulate(np.where(first, idx, 0))
+    lo = np.maximum(entity_start, idx - window + 1)
+    ttrs, mtlds = windowed_diversity(ids, off[lo], off[1:])
     df[f"ttr_w{window}"] = ttrs
     df[f"mtld_w{window}"] = mtlds
     return df

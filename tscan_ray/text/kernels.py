@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
+import numpy as np
+
 NA = float("nan")
 
 MTLD_THRESHOLD = 0.72
@@ -81,6 +83,81 @@ def ttr(tokens: Sequence[str]) -> float:
     """Type-token ratio; NaN on empty (reference emits proportion(unique, count),
     src/structstats.cxx:462-474)."""
     return proportion(float(len(set(tokens))), float(len(tokens)))
+
+
+def windowed_diversity(ids: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """TTR and bidirectional MTLD of many token windows at once.
+
+    ``ids`` are integer token ids; window ``i`` is ``ids[starts[i]:ends[i]]``.
+    Returns ``(ttr, mtld)`` float64 arrays, bit-identical to
+    :func:`ttr` and :func:`average_mtld` of each window.
+
+    A stable argsort of the ids gives each position's previous and next
+    occurrence (``prev``/``nxt``).  A token is new in the forward segment
+    ``[seg, p]`` iff ``prev[p] < seg``, new in the backward segment
+    ``[p, seg)`` iff ``nxt[p] >= seg``, and new in the window iff
+    ``prev[p] < start``.  Windows are ordered longest first, so the
+    windows still walking at step ``j`` are a prefix; each step advances
+    all of them one token in both directions with the float operations of
+    :func:`calculate_mtld`, in its order.  Steps = the longest window.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    n_tok = len(ids)
+    order = np.argsort(ids, kind="stable")
+    same = ids[order[1:]] == ids[order[:-1]]
+    prev = np.full(n_tok, -1, dtype=np.int64)
+    nxt = np.full(n_tok, n_tok, dtype=np.int64)
+    prev[order[1:][same]] = order[:-1][same]
+    nxt[order[:-1][same]] = order[1:][same]
+
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(ends, dtype=np.int64) - starts
+    by_len = np.argsort(-lengths, kind="stable")
+    length = lengths[by_len]
+    start = starts[by_len]
+    end = start + length
+    n = length.astype(np.float64)
+    # active[j] = windows longer than j (a prefix of the length order)
+    active = np.searchsorted(-length, -np.arange(length.max(initial=0)),
+                             side="left")
+    # window distinct count; per direction the open segment's bound,
+    # its uniques and tokens, and the completed factors
+    distinct, fu, fcnt, ffac, bu, bcnt, bfac = np.zeros((7, len(n)))
+    fseg, bseg = start.copy(), end.copy()
+    for j, k in enumerate(active):
+        p = start[:k] + j
+        pp = prev[p]
+        distinct[:k] += pp < start[:k]
+        fu[:k] += pp < fseg[:k]
+        fcnt[:k] += 1.0
+        closed = fu[:k] / fcnt[:k] <= MTLD_THRESHOLD
+        ffac[:k] += closed
+        fu[:k][closed] = 0.0
+        fcnt[:k][closed] = 0.0
+        fseg[:k][closed] = p[closed] + 1
+
+        q = end[:k] - 1 - j
+        bu[:k] += nxt[q] >= bseg[:k]
+        bcnt[:k] += 1.0
+        closed = bu[:k] / bcnt[:k] <= MTLD_THRESHOLD
+        bfac[:k] += closed
+        bu[:k][closed] = 0.0
+        bcnt[:k][closed] = 0.0
+        bseg[:k][closed] = q[closed]
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        # a segment still open after the last token adds its partial factor
+        part = 1 - MTLD_THRESHOLD
+        ffac = np.where(fcnt > 0, ffac + (1 - fu / fcnt) / part, ffac)
+        bfac = np.where(bcnt > 0, bfac + (1 - bu / bcnt) / part, bfac)
+        ffac[ffac == 0.0] = 1.0
+        bfac[bfac == 0.0] = 1.0
+        mtld = (n / ffac + n / bfac) / 2.0
+        ratio = np.where(n > 0, distinct / n, NA)
+    out_ttr, out_mtld = np.empty((2, len(n)))
+    out_ttr[by_len] = ratio
+    out_mtld[by_len] = mtld
+    return out_ttr, out_mtld
 
 
 # Dutch pronoun equivalence classes for argument overlap

@@ -20,7 +20,9 @@ _BLOCK_CLOSE = ">>>"
 _BRACKETS = str.maketrans({"[": "(", "]": ")", "{": "(", "}": ")"})
 
 # token = word (letters/digits/internal '-. apostrophes) | single punctuation char
-_TOKEN_RE = re.compile(r"[^\W_]+(?:[-'’.][^\W_]+)*|[^\w\s]", re.UNICODE)
+_WORD = r"[^\W_]+(?:[-'’.][^\W_]+)*"
+_TOKEN_RE = re.compile(_WORD + r"|[^\w\s]", re.UNICODE)
+_WORD_RE = re.compile(_WORD, re.UNICODE)
 
 _SENT_END = {".", "!", "?"}
 _CLOSERS = {'"', "'", "\u201d", "\u2019", ")", "\u00bb"}
@@ -62,6 +64,14 @@ def normalize_text(text: str) -> str:
 def tokenize(text: str) -> list[str]:
     """Split text into word and punctuation tokens. Deterministic, no state."""
     return _TOKEN_RE.findall(text)
+
+
+def words(text: str) -> list[str]:
+    """The word tokens of ``text``: ``tokenize`` without its punctuation
+    tokens.  A word match never starts on a punctuation char and a
+    punctuation token is one char, so matching the word alternative
+    alone visits the same words."""
+    return _WORD_RE.findall(text)
 
 
 def is_punct(token: str) -> bool:

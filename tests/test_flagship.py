@@ -120,13 +120,22 @@ class TestFlagship:
 STAGES = ["featurize", "explode_paragraphs", "explode_sentences",
           "explode_words", "write_folia", "score_surprisal",
           "decode_validate", "resize_images", "extract_image_features",
-          "broadcast_join", "flagship"]
+          "broadcast_join"]
 
 
-def _stage_dataset(stage, monkeypatch, tmp_path):
-    """The Dataset ``stage`` gives, built lazily over a one-row input; for
-    the flagship, the featurized Dataset its timeline exchange receives."""
-    import tscan_ray.pipelines.flagship as fl
+def _plan_ops(ds) -> dict:
+    """Operator name -> operator class of ``ds``'s physical plan."""
+    from ray.data._internal.logical.optimizers import get_execution_plan
+
+    ops, todo = [], [get_execution_plan(ds._logical_plan).dag]
+    while todo:
+        ops.append(todo.pop())
+        todo.extend(ops[-1].input_dependencies)
+    return {op.name: type(op).__name__ for op in ops}
+
+
+def _stage_dataset(stage, tmp_path):
+    """The Dataset ``stage`` gives, built lazily over a one-row input."""
     from tscan_ray.ops.join import broadcast_join
     from tscan_ray.stages.decode import decode_validate
     from tscan_ray.stages.featurizer import featurize
@@ -138,12 +147,6 @@ def _stage_dataset(stage, monkeypatch, tmp_path):
     from tscan_ray.text.surprisal import score_surprisal
 
     ds = rd.from_items([{"doc_id": 1, "text": "De kat slaapt ."}])
-    if stage == "flagship":
-        seen = []
-        monkeypatch.setattr(fl, "task_exchange",
-                            lambda ds, *a, **k: seen.append(ds) or ds)
-        fl.flagship(SF_DIR, n_entities=20, num_buckets=8)
-        return seen[0]
     return {
         "featurize": lambda: featurize(ds, "text"),
         "explode_paragraphs": lambda: explode_paragraphs(ds, "text",
@@ -162,43 +165,92 @@ def _stage_dataset(stage, monkeypatch, tmp_path):
 
 
 class TestDecodeFeaturizeTasks:
-    """The flagship runs decode+featurize as map tasks that build a
-    ``DecodeFeaturize`` per batch, like every library map stage."""
+    """The flagship runs decode+featurize inside its exchange's split
+    tasks, in ``featurizer_batch_size`` slices that each build a
+    ``DecodeFeaturize``; every other library map stage runs as Ray Data
+    map tasks."""
 
     def test_tasks_match_one_in_process_stage(self, images_path):
         """The task path gives the values of the stage run in this process
-        over the whole table at once."""
+        over the whole table at once, also when ``featurizer_batch_size``
+        cuts every images block into several slices."""
+        import dataclasses
+
         import pyarrow.parquet as pq
 
+        from tscan_ray.config import DEFAULT_CONFIG
         from tscan_ray.pipelines.flagship import (
             KEEP_COLS, DecodeFeaturize, add_timeline_features, flagship)
         from tscan_ray.state.manifest import value_checksum
 
-        got = flagship(None, images_path=images_path, n_entities=20,
-                       num_buckets=8).to_pandas()
         table = pq.read_table(images_path)
         feats = DecodeFeaturize(n_entities=20, keep_columns=KEEP_COLS)(table)
         want = add_timeline_features(
             rd.from_arrow(feats), num_buckets=8, snapshot_every=5,
             n_entities=20).to_pandas()
-        assert len(got) == len(want) == table.num_rows
-        assert value_checksum(got) == value_checksum(want)
+        sliced = dataclasses.replace(DEFAULT_CONFIG, featurizer_batch_size=16)
+        files = pq.ParquetDataset(images_path).fragments
+        assert min(f.metadata.num_rows for f in files) > 16
+        for cfg in (DEFAULT_CONFIG, sliced):
+            got = flagship(None, images_path=images_path, n_entities=20,
+                           num_buckets=8, cfg=cfg).to_pandas()
+            assert len(got) == len(want) == table.num_rows
+            assert value_checksum(got) == value_checksum(want)
 
     @pytest.mark.parametrize("stage", STAGES)
-    def test_featurize_plans_as_task_pool(self, stage, monkeypatch,
-                                          tmp_path):
-        from ray.data._internal.logical.optimizers import get_execution_plan
-
-        ds = _stage_dataset(stage, monkeypatch, tmp_path)
-        ops, todo = [], [get_execution_plan(ds._logical_plan).dag]
-        while todo:
-            ops.append(todo.pop())
-            todo.extend(ops[-1].input_dependencies)
-        kinds = {op.name: type(op).__name__ for op in ops}
+    def test_featurize_plans_as_task_pool(self, stage, tmp_path):
+        kinds = _plan_ops(_stage_dataset(stage, tmp_path))
         mapped = [n for n in kinds if "MapBatches(_run_stage)" in n]
         assert len(mapped) == 1, kinds
         assert kinds[mapped[0]] == "TaskPoolMapOperator"
         assert "ActorPoolMapOperator" not in kinds.values()
+
+    def test_flagship_featurizes_in_split_tasks(self, images_path,
+                                                monkeypatch, tmp_path):
+        """The flagship hands ``task_exchange`` the images read with no map
+        stage and decode+featurize as ``map_block``, so every images
+        block gets its own split task: 8 files, 8 splits."""
+        import pyarrow.parquet as pq
+
+        import tscan_ray.pipelines.flagship as fl
+        from tscan_ray.ops.keyed import LAST_EXCHANGE_STATS
+
+        table = pq.read_table(images_path)
+        eight = tmp_path / "images8"
+        eight.mkdir()
+        step = -(-table.num_rows // 8)
+        for i in range(8):
+            pq.write_table(table.slice(i * step, step),
+                           eight / f"part-{i}.parquet")
+        out = fl.flagship(None, images_path=str(eight), n_entities=20,
+                          num_buckets=8)
+        assert out.count() == table.num_rows
+        assert LAST_EXCHANGE_STATS["splits"] == 8
+
+        seen = []
+        monkeypatch.setattr(fl, "task_exchange",
+                            lambda ds, *a, **k: seen.append((ds, k)))
+        fl.flagship(None, images_path=str(eight), n_entities=20,
+                    num_buckets=8)
+        ds, kwargs = seen[0]
+        kinds = _plan_ops(ds)
+        assert not [n for n in kinds if "MapBatches(_run_stage)" in n], kinds
+        assert kwargs["map_block"] is not None
+
+    def test_zero_row_images_raise_in_the_kernel(self, tmp_path):
+        """A zero-row images table reads as one schema-less block, which
+        has nothing to decode and carries no ``entity_id`` into the
+        timeline kernel: the job raises there."""
+        import pyarrow.parquet as pq
+        import ray
+
+        from tscan_ray.pipelines.flagship import flagship
+        from tscan_ray.sources.images import IMAGE_SCHEMA
+
+        pq.write_table(IMAGE_SCHEMA.empty_table(), tmp_path / "part-0.parquet")
+        with pytest.raises(ray.exceptions.RayTaskError,
+                           match="KeyError: 'entity_id'"):
+            flagship(None, images_path=str(tmp_path), num_buckets=8)
 
 
 class TestRunStage:

@@ -367,19 +367,20 @@ class TestTwoLevelExchange:
         pd.testing.assert_frame_equal(base, two)
 
     def test_split_offsets_slice_out_each_bucket(self, ray_session):
-        """A split returns ONE object: its rows sorted by bucket and the
-        B+1 offsets; rows offsets[b]:offsets[b+1] are exactly the rows
-        ``bucket_of`` assigns to b, in input order."""
+        """A split returns ONE object: its rows sorted by bucket, as an
+        Arrow IPC buffer, and the B+1 offsets; rows offsets[b]:offsets[b+1]
+        are exactly the rows ``bucket_of`` assigns to b, in input order."""
         import numpy as np
         import pyarrow as pa
         import ray
 
-        from tscan_ray.ops.keyed import _split_task, bucket_of
+        from tscan_ray.ops.keyed import _from_ipc, _split_task, bucket_of
 
         keys = [(i * 37) % 101 for i in range(300)]
         t = pa.table({"k": keys, "v": list(range(300))})
-        tbl, offsets = ray.get(
-            _split_task.remote("k", 8, t.slice(0, 120), t.slice(120)))
+        buf, offsets = ray.get(
+            _split_task.remote("k", 8, None, t.slice(0, 120), t.slice(120)))
+        tbl = _from_ipc(buf)
         assert len(offsets) == 9 and offsets[0] == 0 and offsets[-1] == 300
         want = bucket_of(np.array(keys), 8)
         for b in range(8):
@@ -387,8 +388,8 @@ class TestTwoLevelExchange:
             assert got.column("v").to_pylist() == np.flatnonzero(
                 want == b).tolist()
         for empty in (t.slice(0, 0), pa.table({})):
-            tbl, offsets = ray.get(_split_task.remote("k", 8, empty))
-            assert tbl.num_rows == 0
+            buf, offsets = ray.get(_split_task.remote("k", 8, None, empty))
+            assert _from_ipc(buf).num_rows == 0
             assert offsets.tolist() == [0] * 9
 
     def test_streaming_combine_bounds_driver_refs(self, ray_session,
@@ -421,3 +422,108 @@ class TestTwoLevelExchange:
         # block fills a split bundle)
         assert st["peak_driver_refs"] <= st["group"] + st["combines"] + 1
         assert st["peak_driver_refs"] < st["splits"]
+
+    @pytest.mark.parametrize("tier", ["off", "on"])
+    def test_arrow_types_cross_the_exchange(self, ray_session, monkeypatch,
+                                            tier):
+        """Split and combine objects are Arrow IPC buffers: a Ray tensor
+        column, a nullable Int64 column with b'pandas' schema metadata, a
+        dictionary column, a tz-aware timestamp column and a multi-chunk
+        column come out of the exchange with the types and values of the
+        same kernel applied in this process."""
+        import pyarrow as pa
+        import ray
+        from ray.data.extensions import (
+            ArrowTensorArray, get_arrow_extension_tensor_types)
+
+        from tscan_ray.ops.keyed import LAST_EXCHANGE_STATS, task_exchange
+
+        n = 240
+        table = pa.Table.from_pandas(pd.DataFrame({
+            "row": np.arange(n),
+            "k": np.arange(n) % 13,
+            "nullable": pd.array([None if i % 7 == 0 else i * 1_000_003
+                                  for i in range(n)], dtype="Int64"),
+        }), preserve_index=False)
+        assert b"pandas" in table.schema.metadata
+        cols = {
+            "tensor": ArrowTensorArray.from_numpy(
+                np.arange(n * 6, dtype=np.float32).reshape(n, 2, 3)),
+            # two chunks with different dictionaries
+            "dict": pa.chunked_array([
+                pa.array([f"w{i % 5}" for i in range(n // 2)])
+                .dictionary_encode(),
+                pa.array([f"v{i % 3}" for i in range(n // 2)])
+                .dictionary_encode()]),
+            "ts": pa.array(np.arange(n) * 3_600_000_000,
+                           pa.timestamp("us", tz="Europe/Amsterdam")),
+            "chunks": pa.chunked_array([pa.array(np.arange(n // 2) * 0.5),
+                                        pa.array(np.arange(n // 2) * -0.5)]),
+        }
+        for name, col in cols.items():
+            table = table.append_column(name, col)
+        assert isinstance(table.schema.field("tensor").type,
+                          get_arrow_extension_tensor_types())
+        assert table.column("chunks").num_chunks == 2
+
+        def kernel(t):
+            return t.append_column("row2", pa.compute.multiply(t["row"], 2))
+
+        self._tiers(monkeypatch, 2 if tier == "on" else 1 << 30)
+        blocks = [table.slice(i, 40) for i in range(0, n, 40)]
+        out = task_exchange(rd.from_arrow(blocks), "k", kernel,
+                            num_buckets=4, batch_format="pyarrow")
+        assert (LAST_EXCHANGE_STATS["combines"] > 0) == (tier == "on")
+        got = pa.concat_tables(ray.get(out.to_arrow_refs()))
+        want = kernel(table)
+        assert got.schema.metadata == want.schema.metadata
+        order = np.argsort(got.column("row").to_numpy())
+        got = got.take(pa.array(order))
+        for name in want.column_names:
+            assert got.schema.field(name).type == want.schema.field(name).type
+            assert got.column(name).combine_chunks().equals(
+                want.column(name).combine_chunks()), name
+
+    def test_empty_input_is_mapped(self, ray_session):
+        """With no input block, the kernel still gets the mapped schema."""
+        import pyarrow as pa
+        import pyarrow.compute as pc
+
+        from tscan_ray.ops.keyed import LAST_EXCHANGE_STATS, task_exchange
+
+        def double(t):
+            return t.append_column("w", pc.multiply(t["v"], 2))
+
+        ds = rd.from_arrow(pa.table({"k": [1], "v": [2]})).limit(0)
+        out = task_exchange(ds, "k", lambda t: t, num_buckets=4,
+                            batch_format="pyarrow", map_block=double)
+        assert LAST_EXCHANGE_STATS["splits"] == 0
+        assert out.schema().names == ["k", "v", "w"]
+        assert out.count() == 0
+
+    def test_fresh_process_decodes_the_tensor_type(self, tmp_path):
+        """A worker that has imported nothing of Ray Data still decodes a
+        split's tensor column as Ray's tensor type, not as its storage
+        type: importing the exchange module registers the extension."""
+        import os
+        import subprocess
+        import sys
+
+        import pyarrow as pa
+        from ray.data.extensions import ArrowTensorArray
+
+        from tscan_ray.ops.keyed import _to_ipc
+
+        col = ArrowTensorArray.from_numpy(np.zeros((3, 2), dtype=np.float32))
+        path = tmp_path / "split.arrow"
+        path.write_bytes(_to_ipc(pa.table({"t": col})).to_pybytes())
+        code = ("import sys, pyarrow as pa\n"
+                "from tscan_ray.ops.keyed import _from_ipc\n"
+                "buf = pa.py_buffer(open(sys.argv[1], 'rb').read())\n"
+                "print(repr(_from_ipc(buf).schema.field('t').type))\n")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(path)], capture_output=True,
+            text=True, timeout=120, check=True,
+            env={**os.environ, "PYTHONPATH": root}).stdout.strip()
+        assert out == repr(col.type)

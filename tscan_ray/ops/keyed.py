@@ -16,12 +16,18 @@ Dataset API can't deliver:
   bucket offsets) feeding B reduce tasks (slice bucket b out of each
   split, concat, apply the user kernel), wired by object refs — every
   stage fully parallel, payload moved exactly once.
-* one object per split, not B slices: putting a ~746-column Arrow
-  table costs ~45 ms at 117 rows as at 938 (Ray's Arrow reducer walks
-  every column in Python), so B slice puts cost B times one put
-  (BASELINE.md "One object per split, one-pass commit").  Reduces on
-  one node read the split zero-copy from shared memory; on a multi-node
-  cluster a reduce fetches each whole split, trading bytes for puts.
+* a mapped exchange (``map_block``, e.g. the flagship's decode+featurize)
+  runs the map inside the split tasks, one split per input block: the
+  mapped rows are put once, already bucket-sorted, and the map's cost
+  scales with rows, not with the input's bytes.
+* one object per split, not B slices, and that object is an Arrow IPC
+  stream buffer, not a ``pa.Table``: Ray pickles a table column by
+  column in Python, so on one 150-row x 746-column block a put costs
+  58 ms and a get 30 ms, against 0.7 ms to encode the IPC stream,
+  2.0 ms to put the buffer and 2.5 ms to get and decode it.  Reduces on
+  one node decode the split zero-copy from shared memory; on a
+  multi-node cluster a reduce fetches each whole split, trading bytes
+  for puts.  Reduce outputs stay tables: they are Ray Data blocks.
 
 Scale notes
 -----------
@@ -52,9 +58,14 @@ import pandas as pd
 import pyarrow as pa
 
 import ray
+# registers Ray's Arrow extension types (tensor, Python object) in each
+# process that decodes an exchange buffer: an IPC stream carries only an
+# extension's name, and an unregistered name decodes as its storage type
+import ray.data.extensions  # noqa: F401
 
 _KNUTH = np.uint64(0x9E3779B97F4A7C15)
 _TARGET_SPLIT_BYTES = 64 * 1024 * 1024
+_IPC_READ = pa.ipc.IpcReadOptions(use_threads=False)
 # splits per combine task of the two-level exchange: a combine holds its
 # whole group in heap, so the group is a 512 MiB budget of split bundles
 _COMBINE_GROUP = 512 * 1024 * 1024 // _TARGET_SPLIT_BYTES
@@ -110,45 +121,75 @@ def _bucket_rows(tbl: pa.Table, offsets: np.ndarray, b: int) -> pa.Table:
     return tbl.slice(offsets[b], offsets[b + 1] - offsets[b])
 
 
+def _to_ipc(tbl: pa.Table) -> pa.Buffer:
+    """One Arrow IPC stream buffer of ``tbl``: Ray puts and gets it as one
+    contiguous buffer, where a ``pa.Table`` is pickled column by column."""
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, tbl.schema) as writer:
+        writer.write_table(tbl)
+    return sink.getvalue()
+
+
+def _from_ipc(buf: pa.Buffer) -> pa.Table:
+    """The table of an :func:`_to_ipc` buffer, zero-copy over it.
+    Single-threaded: an exchange task holds one CPU, and Arrow's thread
+    pool made decoding 8 buffers of 746 columns slower (11.6 ms against
+    8.9 ms)."""
+    return pa.ipc.open_stream(buf, options=_IPC_READ).read_all()
+
+
+def _concat(tables: list[pa.Table]) -> pa.Table:
+    """``concat_tables``, unifying the schemas only when they differ:
+    unifying equal schemas of 8 x 746 fields costs ~7 ms, the
+    concatenation itself ~1 ms."""
+    first = tables[0].schema
+    same = all(t.schema.equals(first) for t in tables[1:])
+    return pa.concat_tables(tables,
+                            promote_options="none" if same else "default")
+
+
 @ray.remote
-def _split_task(key: str, num_buckets: int, *blocks):
+def _split_task(key: str, num_buckets: int, map_block, *blocks):
     """Sort the input blocks by key-hash bucket (ONE stable sort +
-    searchsorted per task — no per-bucket scan).  Returns ONE object:
-    the sorted table and its ``num_buckets + 1`` int64 bucket offsets,
-    so bucket ``b`` is rows ``offsets[b]:offsets[b + 1]``."""
-    tbl = pa.concat_tables([_as_arrow(b) for b in blocks], promote_options="default")
+    searchsorted per task — no per-bucket scan), after ``map_block``
+    when one is given.  Returns ONE object: the sorted table as an IPC
+    buffer and its ``num_buckets + 1`` int64 bucket offsets, so bucket
+    ``b`` is rows ``offsets[b]:offsets[b + 1]``."""
+    tbl = _concat([_as_arrow(b) for b in blocks])
+    if map_block is not None and tbl.num_columns:  # not schema-less
+        tbl = map_block(tbl)
     if key not in tbl.column_names:  # schema-less empty blocks
-        return tbl.slice(0, 0), np.zeros(num_buckets + 1, dtype=np.int64)
+        return (_to_ipc(tbl.slice(0, 0)),
+                np.zeros(num_buckets + 1, dtype=np.int64))
     vals = tbl.column(key).to_numpy(zero_copy_only=False)
     b = bucket_of(vals, num_buckets).astype(np.int64)
     order = np.argsort(b, kind="stable")
     tbl = tbl.take(pa.array(order))
     offsets = np.searchsorted(b[order], np.arange(num_buckets + 1))
-    return tbl, offsets.astype(np.int64)
+    return _to_ipc(tbl), offsets.astype(np.int64)
 
 
 @ray.remote
 def _combine_task(num_buckets: int, *splits):
     """Intermediate combine tier of the two-level exchange: concatenate a
-    GROUP of split outputs bucket by bucket into one table of the same
-    shape (bucket-sorted rows + offsets) — reduce tasks then fan in over
-    ceil(M/group) refs instead of M.  On a multi-node cluster this tier
-    is where node-local combining would happen (one combine per node
-    over its local splits)."""
-    tbl = pa.concat_tables(
-        [_bucket_rows(t, o, b)
-         for b in range(num_buckets) for t, o in splits],
-        promote_options="default")
+    GROUP of split outputs bucket by bucket into one object of the same
+    shape (bucket-sorted rows as an IPC buffer + offsets) — reduce tasks
+    then fan in over ceil(M/group) refs instead of M.  On a multi-node
+    cluster this tier is where node-local combining would happen (one
+    combine per node over its local splits)."""
+    tables = [(_from_ipc(buf), o) for buf, o in splits]
+    tbl = _concat([_bucket_rows(t, o, b)
+                   for b in range(num_buckets) for t, o in tables])
     sizes = np.sum([np.diff(o) for _, o in splits], axis=0)
-    return tbl, np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+    return (_to_ipc(tbl),
+            np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64))
 
 
 @ray.remote
 def _reduce_task(fn, batch_format: str, b: int, *parts):
     """Concat bucket ``b``'s rows out of each split/combine output and
     apply the user kernel."""
-    tbl = pa.concat_tables([_bucket_rows(t, o, b) for t, o in parts],
-                           promote_options="default")
+    tbl = _concat([_bucket_rows(_from_ipc(buf), o, b) for buf, o in parts])
     if batch_format == "pandas":
         out = fn(tbl.to_pandas())
         if isinstance(out, pd.DataFrame):
@@ -171,6 +212,7 @@ def task_exchange(
     fn: Callable,
     num_buckets: int,
     batch_format: str = "pandas",
+    map_block: Callable | None = None,
 ):
     """Apply a vectorized multi-key kernel to each key-hash bucket
     (two-stage parallel hash exchange).  Returns a materialized Dataset
@@ -183,6 +225,12 @@ def task_exchange(
     the presence of union null-padding) and must itself be vectorized
     across keys (``df.groupby(key)`` transforms, ``merge_asof``, ...).
 
+    ``map_block``: a per-row Arrow map (``pa.Table -> pa.Table``) that each
+    split task applies to its input before bucketing, so the mapped rows
+    are put once, already bucket-sorted, with no map stage of their own.
+    Every input block then gets its own split task: the mapped cost
+    scales with rows, not with the input's bytes.
+
     Streaming: split tasks are submitted as upstream blocks arrive
     (``iter_internal_ref_bundles`` is a generator over the running
     pipeline), and each COMBINE task is submitted the moment its group
@@ -190,7 +238,8 @@ def task_exchange(
     so driver-held refs stay bounded at ~group + combines (+ pending
     blocks) instead of M, and combining overlaps the tail of the
     upstream scan.  Each split or combine is ONE object (bucket-sorted
-    rows + offsets); reduce task ``b`` slices its bucket out of each.
+    rows as an Arrow IPC stream buffer + offsets); reduce task ``b``
+    decodes each and slices its bucket out.
     """
     import ray.data as rd
 
@@ -225,8 +274,8 @@ def task_exchange(
     def flush():
         nonlocal pending_refs, pending_bytes, n_splits, peak_refs
         if pending_refs:
-            split_group.append(
-                _split_task.remote(key, num_buckets, *pending_refs))
+            split_group.append(_split_task.remote(
+                key, num_buckets, map_block, *pending_refs))
             pending_refs, pending_bytes = [], 0
             n_splits += 1
             # combine eagerly per full group (streams with the scan) —
@@ -246,7 +295,7 @@ def task_exchange(
         for block_ref, meta in zip(bundle.block_refs, bundle.metadata):
             pending_refs.append(block_ref)
             pending_bytes += meta.size_bytes or 0
-            if pending_bytes >= _TARGET_SPLIT_BYTES:
+            if map_block is not None or pending_bytes >= _TARGET_SPLIT_BYTES:
                 flush()
     flush()
     # leftover group: combine only if a combine tier already exists
@@ -268,6 +317,8 @@ def task_exchange(
             return ds
         empty = pa.table({n: pa.nulls(0, type=as_arrow_type(t))
                           for n, t in zip(schema.names, schema.types)})
+        if map_block is not None:
+            empty = map_block(empty)
         out = fn(empty if batch_format == "pyarrow" else empty.to_pandas())
         if isinstance(out, pd.DataFrame):
             out = _pandas_to_arrow(out)

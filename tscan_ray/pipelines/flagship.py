@@ -2,12 +2,15 @@
 point-in-time-enriched feature table.
 
     documents ──synth──▶ images(image_id bytes w h fmt caption phash entity_id ts)
-        │ (or a pre-materialized images table read from ``images_path``)
-        │ ONE fused map task per block: decode+validate (PSNR>=40, ahash,
-        │ drop bytes BEFORE any shuffle) → caption featurizer (T-scan
-        │ vector), on every CPU
+        │ (or a pre-materialized images table read from ``images_path``;
+        │ Ray Data runs only this read / synthesis)
         ▼
-    timeline layer — ONE keyed exchange computing, per entity ordered by ts:
+    timeline layer — ONE keyed exchange (ops/keyed.task_exchange):
+      map side, one split task per images block, on every CPU:
+        decode+validate (PSNR>=40, ahash, drop bytes) → caption
+        featurizer (T-scan vector), in featurizer_batch_size slices,
+        then the rows sorted by bucket and put once as an IPC buffer
+      reduce side, per entity ordered by ts:
         lag-1 of selected features (strictly past), trailing rolling mean,
         gap-based session_id, and the snapshot as-of features
         ("feature vector as of the entity's last k-th-event snapshot" —
@@ -17,19 +20,22 @@ point-in-time-enriched feature table.
     state.manifest.resumable_write (key-hash partitions + manifests)
 
 Scale shape: exactly ONE all-to-all exchange.  It carries the whole
-featurized row, ~746 columns (the binary payload is dropped at decode);
-the timeline kernel reads only ``TIMELINE_FEATURES`` of them.
-Everything else streams with backpressure.
+featurized row, ~746 columns (the binary payload is dropped at decode,
+before the rows leave the split task); the timeline kernel reads only
+``TIMELINE_FEATURES`` of them.  Everything else streams with
+backpressure.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import pandas as pd
 
 from tscan_ray.config import DEFAULT_CONFIG, EngineConfig
 from tscan_ray.ops.keyed import task_exchange
 from tscan_ray.sources.images import synth_images
-from tscan_ray.stages import map_stage
+from tscan_ray.stages import map_slices
 from tscan_ray.stages.featurizer import cluster_cpus
 from tscan_ray.text import features
 
@@ -40,9 +46,10 @@ KEEP_COLS = ["image_id", "caption", "phash", "entity_id", "ts", "psnr_db", "ahas
 
 class DecodeFeaturize:
     """Decode+validate → caption-featurize over one Arrow batch.  The
-    flagship builds one per batch through ``stages.map_stage`` (the
-    lexicons and LM are process-cached, so a build costs about 2 ms);
-    perfbench also runs it as an actor and in-process.
+    flagship's split tasks build one per slice through
+    ``stages.map_slices`` (the lexicons and LM are process-cached, so a
+    build costs about 2 ms); perfbench also runs it as an actor and
+    in-process.
     ``custom_groups`` goes to :class:`CaptionFeaturizer`: the snapshot of
     the pipeline builder's ``register_feature_group`` registry."""
 
@@ -76,6 +83,7 @@ def add_timeline_features(
     n_entities: int | None = None,
     diversity_window: int | None = 5,
     text_col: str = "caption",
+    map_block=None,
 ):
     """Lag-1 + trailing rolling mean + session_id + windowed TTR/MTLD over
     the entity's trailing captions — and, when ``snapshot_every`` is set,
@@ -88,7 +96,10 @@ def add_timeline_features(
     ts' <= ts" then reduces to a per-entity forward-fill of the marked
     rows' values — no second exchange, no dataset fork (a lazy Dataset
     consumed by two branches would recompute its whole upstream).  The
-    general two-sided operator is ops/asof.asof_join."""
+    general two-sided operator is ops/asof.asof_join.
+
+    ``map_block`` goes to :func:`~tscan_ray.ops.keyed.task_exchange`: a
+    per-row Arrow map its split tasks apply to ``ds``'s blocks first."""
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values([key, ts, order_col], kind="mergesort")
@@ -118,7 +129,8 @@ def add_timeline_features(
                 df[c + "_snap"] = df.groupby(key, sort=False)[c + "_snap"].ffill()
         return df
 
-    return task_exchange(ds, key, fn, num_buckets or cfg.num_key_buckets)
+    return task_exchange(ds, key, fn, num_buckets or cfg.num_key_buckets,
+                         map_block=map_block)
 
 
 def amplify_docs(docs, sf_dir: str, amplify: int):
@@ -205,14 +217,18 @@ def flagship(
         images = read_table(images_path)  # Lance when available, else parquet
     else:
         images = synthesized_images(sf_dir, n_entities, amplify, cfg)
-    # ONE fused decode+featurize task per block: both stages are pure
-    # per-row CPU, so splitting them would add an object-store handoff of
-    # every row.  Tasks, not an actor pool: no job pays an actor spawn and
-    # every CPU featurizes (BASELINE.md, "Decode+featurize as tasks").
-    feats = map_stage(images, DecodeFeaturize, cfg.featurizer_batch_size,
-                      cfg=cfg, n_entities=n_entities, keep_columns=KEEP_COLS,
-                      custom_groups=dict(features._CUSTOM_GROUPS))
+    # decode+featurize runs inside the exchange's split tasks, one per
+    # images block: the featurized rows are put once, already sorted by
+    # bucket, and Ray Data runs only the read (BASELINE.md,
+    # "Decode+featurize in the split tasks")
+    decode_featurize = partial(
+        map_slices, stage=DecodeFeaturize,
+        batch_size=cfg.featurizer_batch_size,
+        kwargs={"cfg": cfg, "n_entities": n_entities,
+                "keep_columns": KEEP_COLS,
+                "custom_groups": dict(features._CUSTOM_GROUPS)})
     return add_timeline_features(
-        feats, cfg=cfg, num_buckets=num_buckets or cfg.num_key_buckets,
+        images, cfg=cfg, num_buckets=num_buckets or cfg.num_key_buckets,
         snapshot_every=snapshot_every, n_entities=n_entities,
+        map_block=decode_featurize,
     )

@@ -14,10 +14,22 @@ from tscan_ray.state.manifest import (
 )
 
 
-def _input_ds(n=200):
+def _exchanged(df, nb=8):
+    """``df`` through an identity ``task_exchange``: one block per bucket,
+    the input ``resumable_write`` takes."""
     import ray.data as rd
 
-    return rd.from_pandas(pd.DataFrame({
+    from tscan_ray.ops.keyed import task_exchange
+
+    def identity(t):
+        return t
+
+    return task_exchange(rd.from_pandas(df), "entity_id", identity, nb,
+                         batch_format="pyarrow")
+
+
+def _input_ds(n=200):
+    return _exchanged(pd.DataFrame({
         "entity_id": [i % 17 for i in range(n)],
         "v": [float(i) for i in range(n)],
     }))
@@ -83,7 +95,7 @@ class TestResumableWrite:
 
 def _wide_rows(n=300):
     """Rows with a string, a timestamp and a nullable column, so the
-    one-pass and shard paths meet more than plain floats."""
+    sink meets more than plain floats."""
     return pd.DataFrame({
         "entity_id": [(i * 7) % 23 for i in range(n)],
         "v": [float(i) for i in range(n)],
@@ -93,73 +105,49 @@ def _wide_rows(n=300):
     })
 
 
-def _exchanged(df, nb=8):
-    """``df`` through an identity ``task_exchange``: one block per bucket."""
-    import ray.data as rd
-
-    from tscan_ray.ops.keyed import task_exchange
-
-    def identity(t):
-        return t
-
-    return task_exchange(rd.from_pandas(df), "entity_id", identity, nb,
-                         batch_format="pyarrow")
+def _leftovers(out_dir):
+    """Every file under ``out_dir``: parts, manifests and temp files."""
+    return sorted(os.path.relpath(os.path.join(dp, f), out_dir)
+                  for dp, _dn, fns in os.walk(out_dir) for f in fns)
 
 
-def _digest(out_dir):
-    """sha256 of every part file, and every manifest minus ``wall_s``."""
-    import hashlib
-    import json
-
-    parts = {f: hashlib.sha256(open(os.path.join(out_dir, f), "rb").read())
-             .hexdigest()
-             for f in os.listdir(out_dir) if f.endswith(".parquet")}
-    mans = []
-    for m in read_manifests(out_dir):
-        m.pop("wall_s")
-        mans.append(json.dumps(m, sort_keys=True))
-    return parts, mans
+def _tmp_files(out_dir):
+    return [f for f in _leftovers(out_dir) if ".tmp" in f]
 
 
 class TestOnePassCommit:
-    """A block holding one bucket is written in final part form and
-    committed by rename; every other bucket takes the shard path."""
+    """Block K of the exchange output is committed as partition K by its
+    own write task; a block holding a row of another bucket is refused
+    before anything is written."""
 
-    def test_one_block_per_bucket_matches_mixed_block(self, ray_session,
-                                                      tmp_path, monkeypatch):
-        import pyarrow as pa
-        import ray
-        import ray.data as rd
-
-        from tscan_ray.state import manifest
-
-        exch = _exchanged(_wide_rows())
-        # the same rows, each bucket's in the same order, in ONE block
-        mixed = rd.from_arrow(pa.concat_tables(ray.get(exch.to_arrow_refs())))
-        out_mixed = str(tmp_path / "mixed")
-        resumable_write(mixed, out_mixed, key="entity_id", num_buckets=8)
-
-        class NoFinalize:
-            @staticmethod
-            def remote(*args):
-                raise AssertionError("one-bucket blocks need no finalize")
-
-        monkeypatch.setattr(manifest, "_finalize_task", NoFinalize)
-        out_one = str(tmp_path / "one")
-        summary = resumable_write(exch, out_one, key="entity_id",
+    def test_one_block_per_bucket_commits_every_partition(self, ray_session,
+                                                          tmp_path):
+        df = _wide_rows()
+        out = str(tmp_path / "one")
+        summary = resumable_write(_exchanged(df), out, key="entity_id",
                                   num_buckets=8)
         assert summary["rows"].sum() == 300
         assert summary["partition"].is_monotonic_increasing
-        parts, mans = _digest(out_one)
-        assert len(parts) == 8
-        assert (parts, mans) == _digest(out_mixed)
-        for out in (out_one, out_mixed):
-            assert not os.path.exists(os.path.join(out, "_shards"))
+        assert summary["partition"].is_unique
+        assert len([f for f in os.listdir(out)
+                    if f.endswith(".parquet")]) == 8
+        assert len(read_manifests(out)) == 8
+        got = _read_all(out)
+        assert sorted(got["v"]) == sorted(df["v"])
+        assert not os.path.exists(os.path.join(out, "_shards"))
+        assert _tmp_files(out) == []
 
-    def test_bucket_in_single_and_mixed_blocks_commits_once(self,
-                                                            ray_session,
-                                                            tmp_path):
-        import numpy as np
+    def test_block_with_several_buckets_raises(self, ray_session, tmp_path):
+        import ray.data as rd
+
+        out = str(tmp_path / "mixed")
+        with pytest.raises(ValueError, match="task_exchange"):
+            resumable_write(rd.from_pandas(_wide_rows()), out,
+                            key="entity_id", num_buckets=8)
+        assert _leftovers(out) == []
+        assert completed_partitions(out) == set()
+
+    def test_block_of_another_bucket_raises(self, ray_session, tmp_path):
         import pyarrow as pa
         import ray.data as rd
 
@@ -167,36 +155,33 @@ class TestOnePassCommit:
 
         df = _wide_rows()
         b = bucket_of(df["entity_id"].to_numpy(), 8)
-        k, j = np.unique(b)[:2]
-        rows_k = df.index[b == k]
-        rows_j = df.index[b == j]
-        single_k = df.loc[rows_k[: len(rows_k) // 2]]
-        # bucket j sits in two single-bucket blocks, bucket k in one
-        # single-bucket block and the mixed block
-        single_j1 = df.loc[rows_j[: len(rows_j) // 2]]
-        single_j2 = df.loc[rows_j[len(rows_j) // 2:]]
-        rest = df.drop(single_k.index).drop(rows_j)
-
-        def arrow(frame):
-            return pa.Table.from_pandas(frame, preserve_index=False)
-
-        ds = rd.from_arrow([arrow(single_k), arrow(rest), arrow(single_j1),
-                            arrow(single_j2)])
+        assert (b == 3).any()
+        ds = rd.from_arrow(pa.Table.from_pandas(df[b == 3],
+                                                preserve_index=False))
         out = str(tmp_path / "out")
-        summary = resumable_write(ds, out, key="entity_id", num_buckets=8)
-        assert summary["partition"].is_unique
-        assert summary["rows"].sum() == len(df)
-        for part in (k, j):
-            got = pq.read_table(
-                os.path.join(out, f"part-{part:05d}.parquet")).to_pandas()
-            assert sorted(got["v"]) == sorted(df.loc[b == part, "v"])
-        ref = str(tmp_path / "ref")
-        resumable_write(rd.from_pandas(df), ref, key="entity_id",
-                        num_buckets=8)
-        assert ({m["partition"]: m["checksum"] for m in read_manifests(out)}
-                == {m["partition"]: m["checksum"]
-                    for m in read_manifests(ref)})
-        assert not os.path.exists(os.path.join(out, "_shards"))
+        with pytest.raises(ValueError, match="task_exchange"):
+            resumable_write(ds, out, key="entity_id", num_buckets=8)
+        assert _leftovers(out) == []
+        assert completed_partitions(out) == set()
+
+    def test_empty_buckets_write_nothing(self, ray_session, tmp_path):
+        import numpy as np
+
+        from tscan_ray.ops.keyed import bucket_of
+
+        df = _wide_rows()
+        present = set(np.unique(bucket_of(df["entity_id"].to_numpy(), 64))
+                      .tolist())
+        assert len(present) < 64  # 23 entities over 64 buckets
+        out = str(tmp_path / "out")
+        summary = resumable_write(_exchanged(df, nb=64), out,
+                                  key="entity_id", num_buckets=64)
+        assert set(summary["partition"]) == present
+        assert completed_partitions(out) == present
+        assert {int(f[5:10]) for f in os.listdir(out)
+                if f.endswith(".parquet")} == present
+        assert len(_read_all(out)) == len(df)
+        assert _tmp_files(out) == []
 
     def test_resume_one_block_per_bucket(self, ray_session, tmp_path):
         import pyarrow as pa
@@ -209,27 +194,33 @@ class TestOnePassCommit:
         resumable_write(exch, out, key="entity_id", num_buckets=8)
         done = sorted(completed_partitions(out))
         victims = done[:2]
-        for k in victims:
-            os.remove(os.path.join(out, f"part-{k:05d}.parquet"))
-            os.remove(os.path.join(out, "_manifest", f"part-{k:05d}.json"))
+        # a killed run's leftovers: bucket victims[0] has a stale part
+        # file but no manifest, bucket victims[1] only a stale temp file
+        b = bucket_of(df["entity_id"].to_numpy(), 8)
+        stale = pa.Table.from_pandas(df[b == victims[0]].assign(v=-1.0),
+                                     preserve_index=False)
+        pq.write_table(stale, os.path.join(out,
+                                           f"part-{victims[0]:05d}.parquet"))
+        os.remove(os.path.join(out, "_manifest",
+                               f"part-{victims[0]:05d}.json"))
+        os.replace(os.path.join(out, f"part-{victims[1]:05d}.parquet"),
+                   os.path.join(out, f"part-{victims[1]:05d}.parquet.tmp.123"))
+        os.remove(os.path.join(out, "_manifest",
+                               f"part-{victims[1]:05d}.json"))
         survivors = {
             k: os.path.getmtime(os.path.join(out, f"part-{k:05d}.parquet"))
             for k in done[2:]
         }
-        # a killed run's final-form file for a missing bucket
-        os.makedirs(os.path.join(out, "_shards"))
-        b = bucket_of(df["entity_id"].to_numpy(), 8)
-        stale = df[b == victims[0]].assign(v=-1.0)
-        pq.write_table(pa.Table.from_pandas(stale, preserve_index=False),
-                       os.path.join(out, "_shards", "final-stale.parquet"))
         summary = resumable_write(exch, out, key="entity_id", num_buckets=8)
         assert sorted(summary["partition"]) == victims
+        assert completed_partitions(out) == set(done)
         for k, mtime in survivors.items():
             assert os.path.getmtime(
                 os.path.join(out, f"part-{k:05d}.parquet")) == mtime
         got = _read_all(out)
         assert len(got) == len(df)
         assert sorted(got["v"]) == sorted(df["v"])
+        assert _tmp_files(out) == []
         assert not os.path.exists(os.path.join(out, "_shards"))
 
 
@@ -303,7 +294,9 @@ def amplify(t: pa.Table) -> pa.Table:
         parts.append(pa.table({{"doc_id": ids, "text": t.column("text")}}))
     return pa.concat_tables(parts)
 
-big = docs.map_batches(amplify, batch_format="pyarrow")
+from tscan_ray.ops.keyed import task_exchange
+big = task_exchange(docs.map_batches(amplify, batch_format="pyarrow"),
+                    "doc_id", lambda t: t, 32, batch_format="pyarrow")
 from tscan_ray.state.manifest import resumable_write
 s = resumable_write(big, {out!r}, "doc_id", num_buckets=32)
 print("JOB_DONE", int(s["rows"].sum()))

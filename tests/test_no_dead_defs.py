@@ -1,5 +1,6 @@
-"""Every top-level function and class in the library has a user: a
-definition that no code, tool, benchmark or test names is dead code.
+"""Every top-level function, class and module constant in the library
+has a user: a definition that no code, tool, benchmark or test names is
+dead code.
 Likewise every ``EngineConfig`` field is read somewhere: a field nothing
 reads is an option that silently does nothing."""
 
@@ -17,10 +18,23 @@ WORD = re.compile(r"\w+")
 CONFIG_READERS = ("tscan_ray", "tools", "perfbench")
 
 
+def _defined_names(node: ast.stmt) -> list[str]:
+    """Names a top-level statement defines: a def or class, or the plain
+    names an assignment binds (``X = ...``, ``X: T = ...``)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def _dead_defs(pkg: dict[str, str], others: list[str]) -> list[str]:
-    """Top-level def/class names in ``pkg`` (path -> source) that appear,
-    as a whole word, nowhere outside their own definition in ``pkg`` or
-    ``others``."""
+    """Top-level def/class/constant names in ``pkg`` (path -> source)
+    that appear, as a whole word, nowhere outside their own definition
+    in ``pkg`` or ``others``."""
     words = Counter()
     for src in [*pkg.values(), *others]:
         words.update(WORD.findall(src))
@@ -28,13 +42,11 @@ def _dead_defs(pkg: dict[str, str], others: list[str]) -> list[str]:
     for path, src in pkg.items():
         lines = src.splitlines()
         for node in ast.parse(src, path).body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                continue
             own = WORD.findall("\n".join(
                 lines[node.lineno - 1:node.end_lineno]))
-            if words[node.name] == own.count(node.name):
-                dead.append(f"{path}:{node.lineno} {node.name}")
+            dead += [f"{path}:{node.lineno} {name}"
+                     for name in _defined_names(node)
+                     if words[name] == own.count(name)]
     return dead
 
 
@@ -52,11 +64,19 @@ def test_guard_detects_dead_defs():
     pkg = {"m.py": ("def used():\n    pass\n\n\n"
                     "def unused(n):\n    return unused(n - 1)\n\n\n"
                     "class Kept:\n    pass\n\n\n"
-                    "class Dropped:\n    pass\n")}
-    others = ["from m import used\n# Kept is named in a comment\n",
+                    "class Dropped:\n    pass\n\n\n"
+                    "READ = 1\n"
+                    "UNREAD = (READ,\n          2)\n"
+                    "_LIMIT: int = 3\n"
+                    "A = B = 4\n"
+                    "x, y = 5, 6\n")}
+    others = ["from m import used, A\n# Kept is named in a comment\n",
               "Dropped_v2 = used_more = 1\n"]
-    assert _dead_defs(pkg, others) == ["m.py:5 unused", "m.py:13 Dropped"]
-    assert _dead_defs(pkg, others + ["Dropped(); unused(3)"]) == []
+    assert _dead_defs(pkg, others) == [
+        "m.py:5 unused", "m.py:13 Dropped", "m.py:18 UNREAD",
+        "m.py:20 _LIMIT", "m.py:21 B"]
+    assert _dead_defs(pkg, others + ["Dropped(); unused(3)",
+                                     "UNREAD, _LIMIT, B"]) == []
 
 
 def _unread_fields(config_src: str, others: list[str]) -> list[str]:

@@ -176,11 +176,14 @@ class TestManifestResumeGuard:
         import pytest
         import ray.data as rd
 
+        from tscan_ray.ops.keyed import task_exchange
         from tscan_ray.state.manifest import resumable_write
 
         df = pd.DataFrame({"k": range(50), "v": range(50)})
         out = str(tmp_path / "out")
-        resumable_write(rd.from_pandas(df), out, "k", num_buckets=8)
+        exchanged = task_exchange(rd.from_pandas(df), "k", lambda t: t, 8,
+                                  batch_format="pyarrow")
+        resumable_write(exchanged, out, "k", num_buckets=8)
         with pytest.raises(ValueError, match="resume mismatch"):
             resumable_write(rd.from_pandas(df), out, "k", num_buckets=4)
         with pytest.raises(ValueError, match="resume mismatch"):

@@ -185,20 +185,21 @@ def _combine_task(num_buckets: int, *splits):
             np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64))
 
 
+def _apply(fn, batch_format: str, tbl: pa.Table):
+    """``fn`` applied to ``tbl`` in ``batch_format``; a DataFrame result
+    comes back as an Arrow block."""
+    out = fn(tbl.to_pandas() if batch_format == "pandas" else tbl)
+    if isinstance(out, pd.DataFrame):
+        return _pandas_to_arrow(out)
+    return out
+
+
 @ray.remote
 def _reduce_task(fn, batch_format: str, b: int, *parts):
     """Concat bucket ``b``'s rows out of each split/combine output and
     apply the user kernel."""
-    tbl = _concat([_bucket_rows(_from_ipc(buf), o, b) for buf, o in parts])
-    if batch_format == "pandas":
-        out = fn(tbl.to_pandas())
-        if isinstance(out, pd.DataFrame):
-            return _pandas_to_arrow(out)
-        return out
-    out = fn(tbl)
-    if isinstance(out, pd.DataFrame):
-        return _pandas_to_arrow(out)
-    return out
+    return _apply(fn, batch_format, _concat(
+        [_bucket_rows(_from_ipc(buf), o, b) for buf, o in parts]))
 
 
 # stats of the most recent task_exchange on this driver (introspection /
@@ -216,7 +217,11 @@ def task_exchange(
 ):
     """Apply a vectorized multi-key kernel to each key-hash bucket
     (two-stage parallel hash exchange).  Returns a materialized Dataset
-    of the kernel outputs, one block per bucket.
+    of the kernel outputs, one block per bucket in bucket order: block K
+    holds only rows of bucket K (``bucket_of(key, num_buckets) == K``)
+    for a kernel that keeps its key column.  The resumable sink
+    (``state/manifest.resumable_write``) relies on that order: it
+    commits block K as partition K.
 
     ``fn`` receives one bucket (all rows of every entity hashed to it) as
     a pandas DataFrame (default) or a pyarrow Table
@@ -319,10 +324,7 @@ def task_exchange(
                           for n, t in zip(schema.names, schema.types)})
         if map_block is not None:
             empty = map_block(empty)
-        out = fn(empty if batch_format == "pyarrow" else empty.to_pandas())
-        if isinstance(out, pd.DataFrame):
-            out = _pandas_to_arrow(out)
-        return rd.from_arrow(out)
+        return rd.from_arrow(_apply(fn, batch_format, empty))
 
     final = combined + split_group
     LAST_EXCHANGE_STATS["reduce_fanin"] = len(final)

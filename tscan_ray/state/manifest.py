@@ -14,63 +14,41 @@ generalizes it to partition-granular output manifests:
   identical content, the rename is last-writer-wins idempotent);
 * the manifest is written AFTER its data file, so a manifest's presence
   proves the partition is complete;
-* resume = re-run the same call: completed partitions are filtered out
-  by bucket id in the block writer (cheap vectorized mask, same task
-  that buckets the rows), so a restart writes only missing partitions.
+* resume = re-run the same call: the driver skips block K when
+  partition K is complete, so a restart fetches and writes only the
+  missing partitions.
 
 Partitioning is by deterministic key-hash bucket (ops/keyed.py) — the
 same bucketing the timeline operators use.
 
-The wide payload never enters the object store again: one raw Ray task
-per upstream block (``_write_block``) writes its rows to storage under
-``out_dir/_shards/``, and only tiny pointer dicts flow back to the
-driver (the barrier).  What a block writes depends on what it holds:
-
-* **one bucket (one-pass commit).**  The block is written in final part
-  form — ``to_pandas`` → ``to_parquet`` plus its checksum, the bytes a
-  finalize would write.  If that file is the bucket's only pointer, the
-  driver commits it by ``os.replace`` into ``part-K.parquet`` and then
-  writes its manifest.  Every block ``ops/keyed.task_exchange`` emits
-  holds exactly one whole bucket, so a sink fed by the exchange
-  (every flagship job) commits every partition this way: no shards, no
-  re-read.
-* **several buckets (shard path).**  The block writes ONE compressed
-  parquet shard with its rows sorted by bucket and one parquet ROW
-  GROUP per bucket present.  A bucket with more than one pointer gets a
-  finalize task that reads exactly its row groups (parquet row-group
-  pruning — byte-ranged reads, not whole files) and any final-form
-  files among its pointers, concatenates, and commits ``part-K.parquet``
-  + manifest.  At the 3M-row soak the old full-width object-store
-  exchange was ~52 % of wall (56 MiB/s spill path); the shard path is
-  2×write + 1×read of snappy-compressed parquet on storage instead, and
-  on a cluster the shard dir lives on the shared filesystem the output
-  already uses.
-
-The path is chosen by what the pointers show, not by an option.  Only
-pointers returned in THIS call are committed; ``_shards/`` is wiped at
-the start, so a killed run's leftovers are never committed.
+**Contract: block K is partition K.**  ``ds`` is
+``ops/keyed.task_exchange`` output: one block per bucket, in bucket
+order, so non-empty block K holds only rows of bucket K.  The sink runs
+one raw Ray task per non-empty, not-yet-complete block
+(``_write_block``), which checks the contract with ``bucket_of`` before
+it writes anything and then commits partition K itself: ``to_pandas``
+→ ``to_parquet`` to a temp name → ``os.replace`` into
+``part-K.parquet`` → manifest.  Each bucket has exactly one writer, the
+wide payload goes straight from the exchange's output to storage, and a
+partition lands as soon as its own write ends — a killed job keeps every
+partition whose write finished.  Only the summary rows come back to the
+driver.  A killed run's temp files are removed at the start of the
+next call.
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import os
-import shutil
 import time
-import uuid
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
-import pyarrow.parquet as pq
 import ray
 from ray.data.block import BlockAccessor
 
 from tscan_ray.ops.keyed import bucket_of
-
-SHARD_DIR = "_shards"
-# pointer row_group of a block written whole in final part form
-FINAL_FORM = -1
 
 MANIFEST_DIR = "_manifest"
 
@@ -114,11 +92,13 @@ def resumable_write(
     num_buckets: int = 64,
     lineage: dict | None = None,
 ) -> pd.DataFrame:
-    """Write ``ds`` as key-hash-partitioned parquet, skipping partitions
+    """Write ``ds`` (``task_exchange`` output: block K holds only rows of
+    bucket K) as key-hash-partitioned parquet, skipping partitions
     already recorded complete in ``out_dir/_manifest``.
 
     Returns a summary frame (partition, rows, wall_s, checksum) of the
     partitions written in THIS run; already-complete ones are skipped.
+    Raises ``ValueError`` if a block holds a row of another bucket.
     """
     os.makedirs(os.path.join(out_dir, MANIFEST_DIR), exist_ok=True)
     done = completed_partitions(out_dir)
@@ -136,127 +116,47 @@ def resumable_write(
                 f"num_buckets={prev.get('num_buckets')} but this call "
                 f"uses key={key!r}, num_buckets={num_buckets}; delete "
                 f"the output dir or rerun with the original settings")
+    # a killed run's temp files: never renamed, never read
+    for pattern in ("part-*.parquet.tmp.*",
+                    os.path.join(MANIFEST_DIR, "part-*.json.tmp.*")):
+        for stale in glob.glob(os.path.join(out_dir, pattern)):
+            os.remove(stale)
     base_lineage = dict(lineage or {})
     base_lineage.setdefault("key", key)
     base_lineage.setdefault("num_buckets", num_buckets)
 
-    done_arr = np.array(sorted(done), dtype=np.int64)
+    # block K is partition K: empty and complete buckets are skipped from
+    # the block metadata, so a resume never fetches a done bucket
+    blocks = (pair for bundle in ds.iter_internal_ref_bundles()
+              for pair in zip(bundle.block_refs, bundle.metadata))
+    refs = [_write_block.remote(block_ref, out_dir, key, num_buckets, k,
+                                base_lineage)
+            for k, (block_ref, meta) in enumerate(blocks)
+            if meta.num_rows != 0 and k not in done]
+    written = [row for row in ray.get(refs) if row is not None]
     summary_cols = {"partition": "int64", "rows": "int64",
                     "wall_s": "float64", "checksum": "int64"}
-
-    # phase 1: one raw write task per upstream block, completed buckets
-    # dropped.  The wide payload goes straight to storage; only pointers
-    # (which carry the bucket) leave the task.
-    shard_dir = os.path.join(out_dir, SHARD_DIR)
-    shutil.rmtree(shard_dir, ignore_errors=True)  # stale kills' leftovers
-    os.makedirs(shard_dir, exist_ok=True)
-    refs = [_write_block.remote(block_ref, key, num_buckets, done_arr,
-                                shard_dir)
-            for bundle in ds.iter_internal_ref_bundles()
-            for block_ref in bundle.block_refs]
-    # the pointer lists are the barrier AND the only driver
-    # materialization: <= blocks × buckets tiny dicts
-    by_bucket: dict[int, list[dict]] = {}
-    for ptrs in ray.get(refs):
-        for ptr in ptrs:
-            by_bucket.setdefault(ptr["bucket"], []).append(ptr)
-
-    # phase 2: a bucket whose only pointer is a final-form file is
-    # committed here by rename; any other bucket gets a finalize task
-    # that reads exactly its row groups (partitions land as tasks
-    # finish, resumable mid-burst)
-    written, fin_refs = [], []
-    for k in sorted(by_bucket):
-        ptrs = by_bucket[k]
-        if len(ptrs) == 1 and ptrs[0]["row_group"] == FINAL_FORM:
-            p = ptrs[0]
-            os.replace(p["path"], _part_path(out_dir, k))
-            _write_manifest(out_dir, k, p["rows"], p["checksum"],
-                            p["wall_s"], p["columns"], base_lineage)
-            written.append({"partition": k, "rows": p["rows"],
-                            "wall_s": p["wall_s"],
-                            "checksum": p["checksum"]})
-        else:
-            fin_refs.append(_finalize_task.remote(
-                out_dir, k, [(p["path"], p["row_group"]) for p in ptrs],
-                base_lineage))
-    written += ray.get(fin_refs)
-    shutil.rmtree(shard_dir, ignore_errors=True)  # all committed
-    if not written:
-        return pd.DataFrame({c: pd.Series(dtype=d)
-                             for c, d in summary_cols.items()})
-    return (pd.DataFrame(written).sort_values("partition", ignore_index=True)
-            .astype(summary_cols))
+    return pd.DataFrame(written, columns=list(summary_cols)).astype(
+        summary_cols)
 
 
 @ray.remote
-def _write_block(block, key: str, num_buckets: int, done: np.ndarray,
-                 shard_dir: str) -> list[dict]:
-    """Write one upstream block's rows of the buckets not in ``done``;
-    return one pointer per bucket present.
-
-    * rows of ONE bucket: the block is written in final part form (the
-      exact bytes :func:`_finalize_partition` would write for it), and
-      the pointer carries its rows, checksum and columns so the driver
-      can commit it by rename — ``row_group`` is ``FINAL_FORM``;
-    * rows of several buckets: ONE parquet shard, rows sorted by bucket,
-      one row group per bucket, for the finalize tasks to read back."""
+def _write_block(block, out_dir: str, key: str, num_buckets: int, k: int,
+                 lineage: dict) -> dict | None:
+    """Commit block ``k`` as partition ``k``: ``part-K.parquet``, then its
+    manifest.  Returns the summary row, or None for an empty block."""
     t0 = time.perf_counter()
     t = BlockAccessor.for_block(block).to_arrow()
     if t.num_rows == 0:
-        return []
-    b = bucket_of(t.column(key).to_numpy(zero_copy_only=False),
-                  num_buckets).astype(np.int64)
-    keep = ~np.isin(b, done)
-    if not keep.any():
-        return []
-    order = np.flatnonzero(keep)[np.argsort(b[keep], kind="stable")]
-    if not np.array_equal(order, np.arange(t.num_rows)):
-        t = t.take(pa.array(order))
-    t = t.replace_schema_metadata(None)
-    buckets, starts = np.unique(b[order], return_index=True)
-    name = uuid.uuid4().hex
-    if len(buckets) == 1:
-        df = t.to_pandas()
-        path = os.path.join(shard_dir, f"final-{name}.parquet")
-        tmp = f"{path}.tmp"
-        df.to_parquet(tmp, index=False)
-        os.replace(tmp, path)
-        return [{"bucket": int(buckets[0]), "path": path,
-                 "row_group": FINAL_FORM, "rows": len(df),
-                 "checksum": value_checksum(df),
-                 "columns": list(df.columns),
-                 "wall_s": time.perf_counter() - t0}]
-    bounds = np.append(starts, t.num_rows)
-    path = os.path.join(shard_dir, f"shard-{name}.parquet")
-    tmp = f"{path}.tmp"
-    with pq.ParquetWriter(tmp, t.schema) as w:
-        for i in range(len(buckets)):
-            sub = t.slice(bounds[i], bounds[i + 1] - bounds[i])
-            w.write_table(sub, row_group_size=max(sub.num_rows, 1))
-    os.replace(tmp, path)
-    return [{"bucket": int(k), "path": path, "row_group": i,
-             "rows": int(bounds[i + 1] - bounds[i])}
-            for i, k in enumerate(buckets)]
-
-
-def _finalize_partition(out_dir: str, k: int, path_rgs: list,
-                        base_lineage: dict) -> dict:
-    """Read bucket ``k``'s row groups from the listed shards (the whole
-    file for a ``FINAL_FORM`` pointer), commit ``part-K.parquet`` +
-    manifest, return the summary row."""
-    t0 = time.perf_counter()
-    by_path: dict[str, list[int]] = {}
-    for p, rg in path_rgs:
-        by_path.setdefault(p, []).append(int(rg))
-    parts = [pq.read_table(p).replace_schema_metadata(None)
-             if rgs == [FINAL_FORM]
-             else pq.ParquetFile(p).read_row_groups(sorted(rgs))
-             for p, rgs in by_path.items()]
-    # a final-form file went through pandas, which may have widened its
-    # types (large_string -> string); permissive unifies them
-    table = pa.concat_tables(parts, promote_options="permissive")
-    df = table.to_pandas()
+        return None
+    b = bucket_of(t.column(key).to_numpy(zero_copy_only=False), num_buckets)
+    if (b != k).any():
+        raise ValueError(
+            f"block {k} holds rows of buckets "
+            f"{sorted(set(b.tolist()) - {k})}: resumable_write writes block "
+            f"K as partition K, so feed it ops.keyed.task_exchange output "
+            f"(key={key!r}, num_buckets={num_buckets})")
+    df = t.replace_schema_metadata(None).to_pandas()
     path = _part_path(out_dir, k)
     tmp = f"{path}.tmp.{os.getpid()}"
     df.to_parquet(tmp, index=False)
@@ -264,12 +164,9 @@ def _finalize_partition(out_dir: str, k: int, path_rgs: list,
     checksum = value_checksum(df)
     wall = time.perf_counter() - t0
     _write_manifest(out_dir, k, len(df), checksum, wall, list(df.columns),
-                    base_lineage)
+                    lineage)
     return {"partition": k, "rows": len(df), "wall_s": wall,
             "checksum": checksum}
-
-
-_finalize_task = ray.remote(_finalize_partition)
 
 
 def _write_manifest(out_dir: str, k: int, rows: int, checksum: int,

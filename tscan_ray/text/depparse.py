@@ -59,7 +59,6 @@ _CLUSTER_MODALS = frozenset({
     "zullen", "kunnen", "moeten", "mogen", "willen", "gaan", "komen",
     "laten", "blijven", "hoeven", "durven", "leren", "helpen", "zien",
     "horen", "voelen", "doen", "staan", "zitten", "liggen", "lopen"})
-_NOUNISH_TAGS = frozenset({"N", "SPEC"})
 # possessive pronouns that act as NP determiners (Alpino rel="det";
 # evidenced by reference tests/depdist22: "mijn fiets" -> noun_det 0).
 # "zijn"/"haar"/"hun" are kept only with a nounish right neighbour.

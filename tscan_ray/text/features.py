@@ -75,8 +75,6 @@ _NER_TO_SEM = {"PER": "human", "ORG": "institut", "LOC": "place"}
 _PRON_PERS_TYPES = frozenset({"pers", "refl", "pr", "bez"})
 _PRON_EXCLUDED = frozenset({"men", "er", "het"})
 
-_DEFAULT_POS = PosInfo("N", "", ())  # unknown word -> noun, lemma = lword
-
 
 @dataclass
 class WordAnn:

@@ -48,12 +48,6 @@ NOMINAL_MORPHS = frozenset({
 })
 NOMINAL_TAILS = ("ose", "ase", "ese", "isme", "sie", "tie")
 
-# Connective types (reference include/tscan/conn.h)
-CONN_TYPES = ("TEMPOREEL", "OPSOMMEND_WG", "OPSOMMEND_ZIN", "CONTRASTIEF",
-              "COMPARATIEF", "CAUSAAL")
-# Situation types (reference include/tscan/situation.h)
-SIT_TYPES = ("TIME_SIT", "CAUSAL_SIT", "SPACE_SIT", "EMO_SIT")
-
 # Top-k frequency bands (reference fill_topvals src/tscan.cxx:492-534)
 TOP_BANDS = (1000, 2000, 3000, 5000, 10000, 20000)
 

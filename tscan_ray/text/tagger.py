@@ -588,8 +588,6 @@ _ADJ_INFLECTED = frozenset({"achtige", "waardige", "ische", "lijke",
 _N_SUFFIXES = ("heid", "ing", "tie", "sie", "schap", "sel", "iteit",
                "isme", "eur", "erij", "age", "theek", "ment", "nis",
                "aar", "ier", "dom", "um", "ist")
-# derivational prefixes that form ge--less participles (verteld, beloofd)
-_VERB_PREFIXES = ("ver", "be", "ont", "her", "ge", "er")
 
 _SUBJ_PRONOUNS = frozenset({
     "ik", "jij", "je", "hij", "zij", "ze", "wij", "we", "u", "men",

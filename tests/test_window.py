@@ -325,14 +325,8 @@ class TestNullAndTzSemantics:
 
 
 class TestTwoLevelExchange:
-    @staticmethod
-    def _tiers(monkeypatch, group: int):
-        """Make every tiny block its own split task and set the combine
-        group (a group above the split count leaves the tier off)."""
-        from tscan_ray.ops import keyed as keyed_mod
-
-        monkeypatch.setattr(keyed_mod, "_TARGET_SPLIT_BYTES", 1)
-        monkeypatch.setattr(keyed_mod, "_COMBINE_GROUP", group)
+    """The exchange's two levels: one split task per input block, then
+    B reduces that each fan in over every split."""
 
     @staticmethod
     def _kernel():
@@ -344,27 +338,24 @@ class TestTwoLevelExchange:
 
         return kernel
 
-    def test_combine_tier_identical_results(self, ray_session, monkeypatch):
-        """The combine tier must not change any exchange result."""
+    def test_block_count_does_not_change_results(self, ray_session):
+        """The same frame exchanged as one block (one split) and as 40
+        blocks (40 splits, each reduce fanning in over all 40) gives the
+        same rows."""
         import pandas as pd
         import ray.data as rd
 
-        from tscan_ray.ops.keyed import LAST_EXCHANGE_STATS, task_exchange
+        from tscan_ray.ops.keyed import task_exchange
 
         df = pd.DataFrame({"k": [i % 7 for i in range(500)],
                            "v": range(500)})
-        ds = rd.from_pandas(df).repartition(40)
-        self._tiers(monkeypatch, 1 << 30)   # tier off
-        base = task_exchange(ds, "k", self._kernel(),
-                             num_buckets=8).to_pandas()
-        assert LAST_EXCHANGE_STATS["combines"] == 0
-        self._tiers(monkeypatch, 4)         # force the tier
-        two = task_exchange(ds, "k", self._kernel(),
-                             num_buckets=8).to_pandas()
-        assert LAST_EXCHANGE_STATS["combines"] > 0
-        base = base.sort_values("k").reset_index(drop=True)
-        two = two.sort_values("k").reset_index(drop=True)
-        pd.testing.assert_frame_equal(base, two)
+        one = rd.from_pandas(df)
+        assert one.num_blocks() == 1
+        forty = one.repartition(40)
+        outs = [task_exchange(ds, "k", self._kernel(), num_buckets=8)
+                .to_pandas().sort_values("k").reset_index(drop=True)
+                for ds in (one, forty)]
+        pd.testing.assert_frame_equal(*outs)
 
     def test_split_offsets_slice_out_each_bucket(self, ray_session):
         """A split returns ONE object: its rows sorted by bucket, as an
@@ -378,8 +369,7 @@ class TestTwoLevelExchange:
 
         keys = [(i * 37) % 101 for i in range(300)]
         t = pa.table({"k": keys, "v": list(range(300))})
-        buf, offsets = ray.get(
-            _split_task.remote("k", 8, None, t.slice(0, 120), t.slice(120)))
+        buf, offsets = ray.get(_split_task.remote("k", 8, None, t))
         tbl = _from_ipc(buf)
         assert len(offsets) == 9 and offsets[0] == 0 and offsets[-1] == 300
         want = bucket_of(np.array(keys), 8)
@@ -392,41 +382,8 @@ class TestTwoLevelExchange:
             assert _from_ipc(buf).num_rows == 0
             assert offsets.tolist() == [0] * 9
 
-    def test_streaming_combine_bounds_driver_refs(self, ray_session,
-                                                  monkeypatch):
-        """Combines are submitted as split groups fill, so the driver
-        never holds all M split refs at once: with group=4 and 40
-        splits the peak is at most group + combines + one pending block
-        (each split or combine is ONE ref, whatever B), far below the
-        drain-everything M, and each reduce fans in over ceil(M/group)
-        combine refs instead of M split refs."""
-        import math
-
-        import pandas as pd
-        import ray.data as rd
-
-        from tscan_ray.ops.keyed import LAST_EXCHANGE_STATS, task_exchange
-
-        df = pd.DataFrame({"k": [i % 7 for i in range(500)],
-                           "v": range(500)})
-        ds = rd.from_pandas(df).repartition(40)
-        self._tiers(monkeypatch, 4)
-        task_exchange(ds, "k", self._kernel(), num_buckets=8).to_pandas()
-        st = dict(LAST_EXCHANGE_STATS)
-        assert st["splits"] == 40
-        assert st["combines"] == 10
-        assert st["reduce_fanin"] == st["combines"] == math.ceil(
-            st["splits"] / st["group"])
-        # 40 split refs if drained; streaming keeps the peak at the
-        # combines + one in-flight group (+ one pending block: every
-        # block fills a split bundle)
-        assert st["peak_driver_refs"] <= st["group"] + st["combines"] + 1
-        assert st["peak_driver_refs"] < st["splits"]
-
-    @pytest.mark.parametrize("tier", ["off", "on"])
-    def test_arrow_types_cross_the_exchange(self, ray_session, monkeypatch,
-                                            tier):
-        """Split and combine objects are Arrow IPC buffers: a Ray tensor
+    def test_arrow_types_cross_the_exchange(self, ray_session):
+        """Split objects are Arrow IPC buffers: a Ray tensor
         column, a nullable Int64 column with b'pandas' schema metadata, a
         dictionary column, a tz-aware timestamp column and a multi-chunk
         column come out of the exchange with the types and values of the
@@ -436,7 +393,7 @@ class TestTwoLevelExchange:
         from ray.data.extensions import (
             ArrowTensorArray, get_arrow_extension_tensor_types)
 
-        from tscan_ray.ops.keyed import LAST_EXCHANGE_STATS, task_exchange
+        from tscan_ray.ops.keyed import task_exchange
 
         n = 240
         table = pa.Table.from_pandas(pd.DataFrame({
@@ -469,11 +426,9 @@ class TestTwoLevelExchange:
         def kernel(t):
             return t.append_column("row2", pa.compute.multiply(t["row"], 2))
 
-        self._tiers(monkeypatch, 2 if tier == "on" else 1 << 30)
         blocks = [table.slice(i, 40) for i in range(0, n, 40)]
         out = task_exchange(rd.from_arrow(blocks), "k", kernel,
                             num_buckets=4, batch_format="pyarrow")
-        assert (LAST_EXCHANGE_STATS["combines"] > 0) == (tier == "on")
         got = pa.concat_tables(ray.get(out.to_arrow_refs()))
         want = kernel(table)
         assert got.schema.metadata == want.schema.metadata
@@ -489,7 +444,7 @@ class TestTwoLevelExchange:
         import pyarrow as pa
         import pyarrow.compute as pc
 
-        from tscan_ray.ops.keyed import LAST_EXCHANGE_STATS, task_exchange
+        from tscan_ray.ops.keyed import task_exchange
 
         def double(t):
             return t.append_column("w", pc.multiply(t["v"], 2))
@@ -497,7 +452,6 @@ class TestTwoLevelExchange:
         ds = rd.from_arrow(pa.table({"k": [1], "v": [2]})).limit(0)
         out = task_exchange(ds, "k", lambda t: t, num_buckets=4,
                             batch_format="pyarrow", map_block=double)
-        assert LAST_EXCHANGE_STATS["splits"] == 0
         assert out.schema().names == ["k", "v", "w"]
         assert out.count() == 0
 

@@ -10,16 +10,15 @@ Dataset API can't deliver:
   its SortMap/SortReduce as ONE task each (fully serial exchange), and
   the hash-shuffle strategy spawns per-partition aggregator actors that
   swamp a small node.  The task shuffle below is 4-8x faster on the
-  same input (see BASELINE.md) and is the classic parallel plan:
-  M split tasks (one per ~target-size input bundle, each sorting its
-  blocks by key-hash bucket into ONE object: the sorted rows plus B+1
-  bucket offsets) feeding B reduce tasks (slice bucket b out of each
-  split, concat, apply the user kernel), wired by object refs — every
-  stage fully parallel, payload moved exactly once.
+  same input (see BASELINE.md) and is the classic flat parallel plan:
+  one split task per input block (sorting the block by key-hash bucket
+  into ONE object: the sorted rows plus B+1 bucket offsets) feeding B
+  reduce tasks (slice bucket b out of every split, concat, apply the
+  user kernel), wired by object refs — every stage fully parallel,
+  payload moved exactly once.
 * a mapped exchange (``map_block``, e.g. the flagship's decode+featurize)
-  runs the map inside the split tasks, one split per input block: the
-  mapped rows are put once, already bucket-sorted, and the map's cost
-  scales with rows, not with the input's bytes.
+  runs the map inside the split tasks: the mapped rows are put once,
+  already bucket-sorted, with no map stage of their own.
 * one object per split, not B slices, and that object is an Arrow IPC
   stream buffer, not a ``pa.Table``: Ray pickles a table column by
   column in Python, so on one 150-row x 746-column block a put costs
@@ -33,10 +32,10 @@ Scale notes
 -----------
 * B (``num_buckets``): sized so one bucket fits a worker heap
   (``>= input_bytes / heap bytes per bucket``) and >= cluster
-  parallelism.  The driver holds one ref per split (M); split inputs
-  are bundled to ``~64 MB`` so M stays ~input_bytes/64MB.  At 100 TB use a
-  two-level exchange (node-local combine, then cross-node) — same
-  algebra, one more tier.
+  parallelism.  M, the split count, is the input's block count: the
+  driver holds one ref per split and each reduce fans in over all M,
+  so the upstream read's block size sets both (``sources/io.read_table``
+  reads one block per parquet file, at least one per CPU).
 * Skew: a bucket holds whole entities, so the flagship timeline puts a
   hot entity in one reduce task.  ``ops/window.rolling_time_agg(
   slice_us=)`` splits hot keys by time range with window-sized overlap
@@ -64,11 +63,7 @@ import ray
 import ray.data.extensions  # noqa: F401
 
 _KNUTH = np.uint64(0x9E3779B97F4A7C15)
-_TARGET_SPLIT_BYTES = 64 * 1024 * 1024
 _IPC_READ = pa.ipc.IpcReadOptions(use_threads=False)
-# splits per combine task of the two-level exchange: a combine holds its
-# whole group in heap, so the group is a 512 MiB budget of split bundles
-_COMBINE_GROUP = 512 * 1024 * 1024 // _TARGET_SPLIT_BYTES
 
 
 def _pandas_to_arrow(df) -> pa.Table:
@@ -110,17 +105,6 @@ def salted_key(values: np.ndarray, salt: np.ndarray) -> np.ndarray:
             >> np.uint64(1)).astype(np.int64)
 
 
-def _as_arrow(block) -> pa.Table:
-    if isinstance(block, pa.Table):
-        return block
-    return _pandas_to_arrow(block)
-
-
-def _bucket_rows(tbl: pa.Table, offsets: np.ndarray, b: int) -> pa.Table:
-    """Bucket ``b``'s rows of a bucket-sorted table."""
-    return tbl.slice(offsets[b], offsets[b + 1] - offsets[b])
-
-
 def _to_ipc(tbl: pa.Table) -> pa.Buffer:
     """One Arrow IPC stream buffer of ``tbl``: Ray puts and gets it as one
     contiguous buffer, where a ``pa.Table`` is pickled column by column."""
@@ -149,13 +133,13 @@ def _concat(tables: list[pa.Table]) -> pa.Table:
 
 
 @ray.remote
-def _split_task(key: str, num_buckets: int, map_block, *blocks):
-    """Sort the input blocks by key-hash bucket (ONE stable sort +
-    searchsorted per task — no per-bucket scan), after ``map_block``
-    when one is given.  Returns ONE object: the sorted table as an IPC
-    buffer and its ``num_buckets + 1`` int64 bucket offsets, so bucket
-    ``b`` is rows ``offsets[b]:offsets[b + 1]``."""
-    tbl = _concat([_as_arrow(b) for b in blocks])
+def _split_task(key: str, num_buckets: int, map_block, block):
+    """Sort one input block by key-hash bucket (ONE stable sort +
+    searchsorted — no per-bucket scan), after ``map_block`` when one is
+    given.  Returns ONE object: the sorted table as an IPC buffer and
+    its ``num_buckets + 1`` int64 bucket offsets, so bucket ``b`` is rows
+    ``offsets[b]:offsets[b + 1]``."""
+    tbl = block if isinstance(block, pa.Table) else _pandas_to_arrow(block)
     if map_block is not None and tbl.num_columns:  # not schema-less
         tbl = map_block(tbl)
     if key not in tbl.column_names:  # schema-less empty blocks
@@ -169,22 +153,6 @@ def _split_task(key: str, num_buckets: int, map_block, *blocks):
     return _to_ipc(tbl), offsets.astype(np.int64)
 
 
-@ray.remote
-def _combine_task(num_buckets: int, *splits):
-    """Intermediate combine tier of the two-level exchange: concatenate a
-    GROUP of split outputs bucket by bucket into one object of the same
-    shape (bucket-sorted rows as an IPC buffer + offsets) — reduce tasks
-    then fan in over ceil(M/group) refs instead of M.  On a multi-node
-    cluster this tier is where node-local combining would happen (one
-    combine per node over its local splits)."""
-    tables = [(_from_ipc(buf), o) for buf, o in splits]
-    tbl = _concat([_bucket_rows(t, o, b)
-                   for b in range(num_buckets) for t, o in tables])
-    sizes = np.sum([np.diff(o) for _, o in splits], axis=0)
-    return (_to_ipc(tbl),
-            np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64))
-
-
 def _apply(fn, batch_format: str, tbl: pa.Table):
     """``fn`` applied to ``tbl`` in ``batch_format``; a DataFrame result
     comes back as an Arrow block."""
@@ -195,16 +163,11 @@ def _apply(fn, batch_format: str, tbl: pa.Table):
 
 
 @ray.remote
-def _reduce_task(fn, batch_format: str, b: int, *parts):
-    """Concat bucket ``b``'s rows out of each split/combine output and
-    apply the user kernel."""
+def _reduce_task(fn, batch_format: str, b: int, *splits):
+    """Concat bucket ``b``'s rows out of every split and apply the user
+    kernel."""
     return _apply(fn, batch_format, _concat(
-        [_bucket_rows(_from_ipc(buf), o, b) for buf, o in parts]))
-
-
-# stats of the most recent task_exchange on this driver (introspection /
-# tests): splits submitted, combines submitted, peak driver-held ref count
-LAST_EXCHANGE_STATS: dict = {}
+        [_from_ipc(buf).slice(o[b], o[b + 1] - o[b]) for buf, o in splits]))
 
 
 def task_exchange(
@@ -233,18 +196,13 @@ def task_exchange(
     ``map_block``: a per-row Arrow map (``pa.Table -> pa.Table``) that each
     split task applies to its input before bucketing, so the mapped rows
     are put once, already bucket-sorted, with no map stage of their own.
-    Every input block then gets its own split task: the mapped cost
-    scales with rows, not with the input's bytes.
 
-    Streaming: split tasks are submitted as upstream blocks arrive
-    (``iter_internal_ref_bundles`` is a generator over the running
-    pipeline), and each COMBINE task is submitted the moment its group
-    of splits is full — the driver then drops the group's split refs,
-    so driver-held refs stay bounded at ~group + combines (+ pending
-    blocks) instead of M, and combining overlaps the tail of the
-    upstream scan.  Each split or combine is ONE object (bucket-sorted
-    rows as an Arrow IPC stream buffer + offsets); reduce task ``b``
-    decodes each and slices its bucket out.
+    Streaming: one split task is submitted per upstream block as it
+    arrives (``iter_internal_ref_bundles`` is a generator over the
+    running pipeline), so splitting overlaps the tail of the upstream
+    scan.  Each split is ONE object (bucket-sorted rows as an Arrow IPC
+    stream buffer + offsets); reduce task ``b`` fans in over every
+    split, decodes each and slices its bucket out.
     """
     import ray.data as rd
 
@@ -255,65 +213,11 @@ def task_exchange(
     # does not carry the previous job's blocks into this job's peak.
     gc.collect()
 
-    # two-level exchange: when many split tasks exist, a combine tier
-    # concatenates groups of splits per bucket so each reduce fans in
-    # over ceil(M/group) refs instead of M
-    group = _COMBINE_GROUP
-    use_combine = num_buckets > 1
+    splits = [_split_task.remote(key, num_buckets, map_block, block_ref)
+              for bundle in ds.iter_internal_ref_bundles()
+              for block_ref in bundle.block_refs]
 
-    split_group: list = []   # split ref-tuples not yet combined
-    combined: list = []      # combine ref-tuples (final reduce inputs)
-    pending_refs: list = []  # raw block refs awaiting a split task
-    pending_bytes = 0
-    n_splits = n_combines = peak_refs = 0
-
-    def live_refs() -> int:
-        return len(pending_refs) + len(split_group) + len(combined)
-
-    def submit_combine():
-        nonlocal n_combines
-        combined.append(_combine_task.remote(num_buckets, *split_group))
-        split_group.clear()
-        n_combines += 1
-
-    def flush():
-        nonlocal pending_refs, pending_bytes, n_splits, peak_refs
-        if pending_refs:
-            split_group.append(_split_task.remote(
-                key, num_buckets, map_block, *pending_refs))
-            pending_refs, pending_bytes = [], 0
-            n_splits += 1
-            # combine eagerly per full group (streams with the scan) —
-            # but only once a second group starts, so a small input
-            # (m <= group) never pays the extra copy tier
-            if use_combine:
-                if combined and len(split_group) >= group:
-                    submit_combine()
-                elif not combined and len(split_group) > group:
-                    overflow = split_group[group:]
-                    del split_group[group:]
-                    submit_combine()
-                    split_group.extend(overflow)
-        peak_refs = max(peak_refs, live_refs())
-
-    for bundle in ds.iter_internal_ref_bundles():
-        for block_ref, meta in zip(bundle.block_refs, bundle.metadata):
-            pending_refs.append(block_ref)
-            pending_bytes += meta.size_bytes or 0
-            if map_block is not None or pending_bytes >= _TARGET_SPLIT_BYTES:
-                flush()
-    flush()
-    # leftover group: combine only if a combine tier already exists
-    # (otherwise reduces fan in over the raw splits, as before)
-    if combined and split_group:
-        submit_combine()
-    peak_refs = max(peak_refs, live_refs())
-    LAST_EXCHANGE_STATS.clear()
-    LAST_EXCHANGE_STATS.update(
-        splits=n_splits, combines=n_combines, peak_driver_refs=peak_refs,
-        group=group, num_buckets=num_buckets)
-
-    if not (split_group or combined):
+    if not splits:
         # empty input: still produce the KERNEL's output schema (the raw
         # padded-union schema would leak __side__/__r_* columns to
         # downstream select/write)
@@ -326,9 +230,7 @@ def task_exchange(
             empty = map_block(empty)
         return rd.from_arrow(_apply(fn, batch_format, empty))
 
-    final = combined + split_group
-    LAST_EXCHANGE_STATS["reduce_fanin"] = len(final)
-    outs = [_reduce_task.remote(fn, batch_format, b, *final)
+    outs = [_reduce_task.remote(fn, batch_format, b, *splits)
             for b in range(num_buckets)]
     # materialized, the output is its own computed snapshot: a consumer's
     # iter_internal_ref_bundles() gets the reduce blocks without starting

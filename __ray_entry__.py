@@ -29,15 +29,6 @@ HOUR_US = 3_600_000_000
 _EN_STOP = "the a of and to in is was for on with as by at it from"
 
 
-# The sf-dir fixtures are ONE parquet file each, and read_table splits
-# a lone file only into one block per CPU.  These reads ask for 64
-# blocks, so the downstream stages (exchange split tasks, per-block
-# maps) get finer tasks; at production scale the input is thousands of
-# fragments and needs no hint.
-_READ_BLOCKS = 64
-
-
-
 def _read_pq(path, **kwargs):
     """All fixture reads go through the io seam (Lance-first fallback +
     schema-metadata strip — pandas-written parquet metadata makes
@@ -49,15 +40,13 @@ def _read_pq(path, **kwargs):
 def _events(sf_dir):
     from tscan_ray.sources.io import read_table
 
-    return read_table(f"{sf_dir}/events.parquet",
-                      override_num_blocks=_READ_BLOCKS)
+    return read_table(f"{sf_dir}/events.parquet")
 
 
 def _docs(sf_dir):
     from tscan_ray.sources.io import read_table
 
-    return read_table(f"{sf_dir}/documents.parquet",
-                      override_num_blocks=_READ_BLOCKS)
+    return read_table(f"{sf_dir}/documents.parquet")
 
 
 def _round_cols(ds, cols: list[str], ndigits: int = 6):
@@ -173,8 +162,7 @@ def q_join_orders_customer_shuffle(sf_dir):
     from tscan_ray.ops.join import exchange_join
 
     orders = _read_pq(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_custkey", "o_totalprice"],
-                             override_num_blocks=_READ_BLOCKS)
+                             columns=["o_orderkey", "o_custkey", "o_totalprice"])
     customer = _read_pq(f"{sf_dir}/customer.parquet",
                                columns=["c_custkey", "c_mktsegment"])         .map_batches(lambda df: df.rename(columns={"c_custkey": "o_custkey"}),
                      batch_format="pandas")
@@ -193,8 +181,7 @@ def q_join_orders_semi(sf_dir):
     from tscan_ray.ops.join import broadcast_join
 
     orders = _read_pq(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_custkey", "o_totalprice"],
-                             override_num_blocks=_READ_BLOCKS)
+                             columns=["o_orderkey", "o_custkey", "o_totalprice"])
     building = _read_pq(f"{sf_dir}/customer.parquet",
                                columns=["c_custkey", "c_mktsegment"]) \
         .filter(expr="c_mktsegment == 'BUILDING'") \
@@ -212,8 +199,7 @@ def q_join_orders_anti(sf_dir):
     from tscan_ray.ops.join import broadcast_join
 
     orders = _read_pq(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_custkey"],
-                             override_num_blocks=_READ_BLOCKS)
+                             columns=["o_orderkey", "o_custkey"])
     building = _read_pq(f"{sf_dir}/customer.parquet",
                                columns=["c_custkey", "c_mktsegment"]) \
         .filter(expr="c_mktsegment == 'BUILDING'") \
@@ -575,8 +561,7 @@ def q_ann_topk(sf_dir):
     query = np.asarray(
         pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["embedding"])
         .column("embedding")[0].as_py(), dtype=np.float64)
-    emb = _read_pq(f"{sf_dir}/embeddings.parquet",
-                          override_num_blocks=_READ_BLOCKS)
+    emb = _read_pq(f"{sf_dir}/embeddings.parquet")
     return topk_cosine(emb, query, k=10)
 
 
@@ -588,7 +573,6 @@ def q_agg_lineitem_pricing(sf_dir):
         f"{sf_dir}/lineitem.parquet",
         columns=["l_returnflag", "l_linestatus", "l_quantity",
                  "l_extendedprice", "l_discount"],
-        override_num_blocks=_READ_BLOCKS,
     )
 
     def revenue(batch: pa.Table) -> pa.Table:
@@ -865,8 +849,7 @@ def q_ann_topk_lsh(sf_dir):
     idx = _ensure_index(
         _ann_index_dir(sf_dir, "lsh6"),
         lambda d: build_lsh_index(
-            _read_pq(f"{sf_dir}/embeddings.parquet",
-                            override_num_blocks=_READ_BLOCKS),
+            _read_pq(f"{sf_dir}/embeddings.parquet"),
             d, nbits=6))
     return topk_cosine_lsh_indexed(idx, query, k=10)
 
@@ -906,8 +889,7 @@ def q_ann_topk_ivf(sf_dir):
     idx = _ensure_index(
         _ann_index_dir(sf_dir, "ivf8"),
         lambda d: build_ivf_index(
-            _read_pq(f"{sf_dir}/embeddings.parquet",
-                            override_num_blocks=_READ_BLOCKS),
+            _read_pq(f"{sf_dir}/embeddings.parquet"),
             d, n_centroids=8, centroids=_seed_centroids(sf_dir, 8)))
     return topk_cosine_ivf_indexed(idx, query, k=10, nprobe=3)
 
@@ -943,8 +925,7 @@ def q_emb_neardup(sf_dir):
         return pa.table({"vec_id": batch.column("vec_id"), "embedding": emb})
 
     base = _read_pq(f"{sf_dir}/embeddings.parquet",
-                           columns=["vec_id", "embedding"],
-                           override_num_blocks=_READ_BLOCKS) \
+                           columns=["vec_id", "embedding"]) \
         .map_batches(to_f64, batch_format="pyarrow", zero_copy_batch=True)
     return cosine_neardup_pairs(base.union(rd.from_arrow(aug)),
                                 threshold=0.9, nbits=6)

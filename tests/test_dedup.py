@@ -32,6 +32,30 @@ class TestExactDedup:
         assert (m["n"].to_numpy() == o["n"].to_numpy()).all()
 
 
+    def test_null_and_repeated_texts_match_sql(self):
+        """A NULL text is one group, as in SQL: it survives the
+        exchange with its min id and count."""
+        import pyarrow as pa
+
+        from tscan_ray.ops.dedup import dedup_exact
+
+        t = pa.table({"doc_id": pa.array([7, 3, 9, 4, 1, 8, 2, 6, 5],
+                                         type=pa.int64()),
+                      "text": ["b", None, "a", "b", "", None, "a", "c", "b"]})
+        out = dedup_exact(rd.from_arrow(t), "text", "doc_id").to_pandas()
+        oracle = duckdb.connect().execute(
+            "select text, min(doc_id) as doc_id, count(*) as n "
+            "from t group by text").df()
+        m = out.sort_values("doc_id").reset_index(drop=True)
+        o = oracle.sort_values("doc_id").reset_index(drop=True)
+        assert list(m.columns) == ["text", "doc_id", "n"]
+        assert m["doc_id"].tolist() == o["doc_id"].tolist() == [1, 2, 3, 4, 6]
+        assert m["n"].tolist() == o["n"].tolist() == [1, 2, 2, 3, 1]
+        assert (m["text"].fillna("<null>").tolist()
+                == o["text"].fillna("<null>").tolist()
+                == ["", "a", "<null>", "b", "c"])
+
+
 class TestMinhash:
     def test_signature_properties(self):
         from tscan_ray.ops.dedup import _minhash_params, minhash_signature, shingles
@@ -159,13 +183,35 @@ class TestSimhash:
         assert out["simhash"].nunique() > 1
 
 
-class TestConnectedComponents:
-    def test_matches_union_find(self):
-        import numpy as np
-        import pandas as pd
-        import ray.data as rd
+def _union_find(pairs) -> dict:
+    """node -> smallest node id of its component, by union-find."""
+    parent: dict = {}
 
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs.itertuples(index=False):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return {n: find(n) for n in parent}
+
+
+class TestConnectedComponents:
+    @staticmethod
+    def _components(pairs) -> dict:
         from tscan_ray.ops.dedup import connected_components
+
+        out = connected_components(rd.from_pandas(pairs)).to_pandas()
+        assert out["node"].is_unique
+        return dict(zip(out["node"], out["component"]))
+
+    def test_matches_union_find(self):
+        import pandas as pd
 
         rng = np.random.default_rng(13)
         # random sparse graph over 60 nodes
@@ -174,24 +220,22 @@ class TestConnectedComponents:
             "id_b": rng.integers(0, 60, 40),
         })
         pairs = pairs[pairs["id_a"] != pairs["id_b"]]
-        out = connected_components(rd.from_pandas(pairs)).to_pandas()
-        got = dict(zip(out["node"], out["component"]))
+        assert self._components(pairs) == _union_find(pairs)
 
-        parent: dict = {}
+    def test_long_path_matches_union_find(self):
+        """A 14-node path whose smallest id sits at one end takes one
+        iteration per hop; with a second component, a duplicated edge
+        and a reversed edge."""
+        import pandas as pd
 
-        def find(x):
-            parent.setdefault(x, x)
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in pairs.itertuples(index=False):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        want = {n: find(n) for n in parent}
-        assert got == want
+        path = [40, 33, 27, 21, 18, 15, 12, 10, 8, 6, 5, 4, 3, 1]
+        edges = list(zip(path[:-1], path[1:]))
+        edges += [(100, 101), (102, 101), (100, 101)]  # second component
+        edges += [(27, 21), (3, 4)]  # a duplicated and a reversed edge
+        pairs = pd.DataFrame(edges, columns=["id_a", "id_b"])
+        got = self._components(pairs)
+        assert got == _union_find(pairs)
+        assert set(got.values()) == {1, 100}
 
     def test_component_is_min_id(self):
         import pandas as pd

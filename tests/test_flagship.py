@@ -236,20 +236,31 @@ class TestDecodeFeaturizeTasks:
         assert not [n for n in kinds if "MapBatches(_run_stage)" in n], kinds
         assert kwargs["map_block"] is not None
 
-    def test_zero_row_images_raise_in_the_kernel(self, tmp_path):
+    def test_zero_row_images_give_the_empty_schema(self, tmp_path):
         """A zero-row images table reads as one schema-less block, which
-        has nothing to decode and carries no ``entity_id`` into the
-        timeline kernel: the job raises there."""
+        the split task maps as the empty images table: the job returns
+        no rows under the flagship's columns, and the sink commits
+        nothing."""
         import pyarrow.parquet as pq
-        import ray
 
-        from tscan_ray.pipelines.flagship import flagship
+        from tscan_ray.config import DEFAULT_CONFIG
+        from tscan_ray.pipelines.flagship import KEEP_COLS, flagship
         from tscan_ray.sources.images import IMAGE_SCHEMA
+        from tscan_ray.state.manifest import resumable_write
+        from tscan_ray.text.features import feature_names
 
-        pq.write_table(IMAGE_SCHEMA.empty_table(), tmp_path / "part-0.parquet")
-        with pytest.raises(ray.exceptions.RayTaskError,
-                           match="KeyError: 'entity_id'"):
-            flagship(None, images_path=str(tmp_path), num_buckets=8)
+        src = tmp_path / "images"
+        src.mkdir()
+        pq.write_table(IMAGE_SCHEMA.empty_table(), src / "part-0.parquet")
+        out = flagship(None, images_path=str(src), num_buckets=8)
+        assert out.count() == 0
+        names = out.schema().names
+        assert len(names) == len(set(names)) == 762
+        assert set(KEEP_COLS + feature_names(DEFAULT_CONFIG)
+                   + ["session_id", "MTLD_wrd_lag1", "ts_snap"]) <= set(names)
+        summary = resumable_write(out, str(tmp_path / "out"),
+                                  key="entity_id", num_buckets=8)
+        assert summary.empty
 
 
 class TestRunStage:

@@ -5,16 +5,15 @@ training-data-pipeline operators the engine adds as first-class citizens.
 
 Scale design:
 
-* exact: content hash computed vectorized per batch (one C-speed pass),
-  then ONE ``groupby(hash)`` exchange of (hash, id) — the full text only
-  travels when ``keep_text``; representative = min(id) (deterministic).
+* exact: ONE keyed exchange of (text, id) on the text;
+  representative = min(id) (deterministic).
 * MinHash-LSH: shingles -> 64 permutations -> 16 banded Horner hashes;
   the exchange carries ONLY (band_key:int64, doc_id) pairs — 20 bytes ×
   bands per doc, no shingle/signature payload (the r01 design shipped
   the full shingle set into every band row, a bands× amplification of
   the pipeline's largest intermediate).  Candidate pairs come out of
-  the band groupby; exact-Jaccard verification recomputes shingles for
-  the CANDIDATE docs only (broadcast semi-filter + small shingle map).
+  the band-key exchange; exact-Jaccard verification recomputes shingles
+  for the CANDIDATE docs only (broadcast semi-filter + small shingle map).
 * SimHash: 64-bit fingerprint per doc from token hashes (near-dup via
   Hamming distance on prefix buckets).
 
@@ -34,8 +33,11 @@ import re
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import ray
+import ray.data as rd
 
 from tscan_ray.config import DEFAULT_CONFIG
+from tscan_ray.ops.keyed import task_exchange
 
 # ASCII token class, lowercased input: identical semantics in Python re
 # and RE2/DuckDB (`\w` is unicode-aware in Python but ASCII in RE2 —
@@ -177,19 +179,24 @@ def band_keys(sig: np.ndarray, bands: int) -> np.ndarray:
 
 def dedup_exact(ds, text_col: str, id_col: str):
     """Exact dedup by column content.  Returns one row per distinct text:
-    (id_col = min id, n = duplicate count, text_col).
+    (text_col, id_col = min id, n = duplicate count); a NULL text is one
+    group, as in SQL ``GROUP BY``.
 
-    groupby on the text itself guarantees no hash-collision false merges;
-    at 100 TB pre-bucket by a 64-bit content hash first so the exchange
-    is hash-partitioned (same plan, narrower key)."""
-    import ray.data.aggregate as agg
+    One keyed exchange on the text itself (no hash-collision false
+    merges) folds min id and count per text inside each bucket; at
+    100 TB key it by a 64-bit content hash instead (same plan, narrower
+    key)."""
 
-    out = (
-        ds.select_columns([id_col, text_col])
-        .groupby(text_col)
-        .aggregate(agg.Min(id_col, alias_name=id_col), agg.Count(alias_name="n"))
-    )
-    return out
+    def fold(t: pa.Table) -> pa.Table:
+        g = t.to_pandas().groupby(text_col, dropna=False, sort=False)[id_col]
+        out = pd.DataFrame({id_col: g.min(), "n": g.size()}).reset_index()
+        return pa.Table.from_pandas(out, preserve_index=False, schema=pa.schema(
+            [t.schema.field(text_col), t.schema.field(id_col),
+             pa.field("n", pa.int64())]))
+
+    return task_exchange(ds.select_columns([id_col, text_col]), text_col,
+                         fold, DEFAULT_CONFIG.num_key_buckets,
+                         batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +224,9 @@ def minhash_lsh_pairs(
     Plan (the de-amplified r02 design):
       1. one pass over the corpus emits (band_key:int64, id) rows —
          bands × 20 bytes per doc, no shingle/signature payload;
-      2. ONE exchange on band_key; equal-key runs yield candidate pairs;
+      2. an exchange on band_key, where equal-key runs yield candidate
+         pairs, then one on id_a, which drops the repeats of a pair that
+         collides in several bands;
       3. candidate ids (≪ corpus under any sane threshold — the LSH
          assumption) are broadcast as a semi-filter; shingle sets are
          recomputed for candidate docs ONLY and broadcast as a map;
@@ -230,8 +239,6 @@ def minhash_lsh_pairs(
     Docs with zero shingles never enter the banding (a doc with no
     tokens has no similarity evidence).
     """
-    import ray
-
     sh_fn = _shingle_fn(hash_impl)
     a, b = _minhash_params(num_perm)
     docs = ds.select_columns([id_col, text_col])
@@ -300,17 +307,10 @@ def minhash_lsh_pairs(
         return pd.DataFrame({"id_a": pd.array(out_a, dtype="int64"),
                              "id_b": pd.array(out_b, dtype="int64")})
 
-    from tscan_ray.ops.keyed import task_exchange
-
     cand = task_exchange(banded, "band_key", bucket_candidates, num_buckets=64)
     # a pair can collide in several bands -> one candidate row
-    import ray.data as rd
-    import ray.data.aggregate as agg
-
-    cand = (cand.groupby(["id_a", "id_b"])
-            .aggregate(agg.Count(alias_name="__nb__"))
-            .select_columns(["id_a", "id_b"])
-            .materialize())
+    cand = task_exchange(cand, "id_a", lambda df: df.drop_duplicates(),
+                         num_buckets=64)
     empty = pa.table({"id_a": pa.array([], type=pa.int64()),
                       "id_b": pa.array([], type=pa.int64()),
                       "jaccard": pa.array([], type=pa.float64())})
@@ -390,12 +390,7 @@ def _verify_pairs_exchange(docs, cand, text_col: str, id_col: str,
     repeated doc id the lexicographically smallest text wins
     (deterministic; the broadcast path's dict keeps an arbitrary one).
     """
-    import ray.data as rd
-
-    from tscan_ray.config import DEFAULT_CONFIG as _CFG
-    from tscan_ray.ops.keyed import task_exchange
-
-    num_buckets = _CFG.num_key_buckets
+    num_buckets = DEFAULT_CONFIG.num_key_buckets
 
     def pair_to_endpoints(batch: pa.Table) -> pa.Table:
         a = batch.column("id_a").to_numpy(zero_copy_only=False)
@@ -548,72 +543,65 @@ def connected_components(
     MINIMUM node id in the cluster — the canonical representative (the
     same keep-smallest-id convention as :func:`dedup_exact`).
 
-    Plan per iteration (driver-coordinated loop, the documented shape
-    for iterative algorithms):
-      1. one keyed exchange joins current labels onto the edge list by
-         endpoint and emits (neighbor, my_label) messages both ways;
-      2. one keyed exchange folds messages + own labels with a min.
-    Hash-min converges in O(diameter) iterations — near-dup clusters are
-    shallow (most are cliques from LSH bands), so 2-3 iterations is
-    typical; the loop stops as soon as an iteration changes nothing.
-    Each iteration's datasets are materialized (an iterative lineage
-    would otherwise recompute all prior rounds on every pass).
+    Plan per iteration (a driver loop): ONE keyed exchange on ``node``
+    over one state table of (node, kind, value, changed) rows: per node
+    a label row (value = its label), message rows (value = a
+    neighbour's label) and edge rows (value = a neighbour).  A node's
+    new label is the min of its old label, its messages, itself and its
+    neighbours; each bucket emits the new labels with a ``changed``
+    flag, one message per out-edge and the edges themselves, so the
+    exchange's materialized output is the next iteration's input.  The
+    first state is the edges alone, both ways.  Hash-min converges in
+    O(diameter) iterations (near-dup clusters are shallow: mostly
+    cliques from LSH bands); the loop stops after an iteration that
+    changes no label.
     """
-    import ray.data.aggregate as agg
-
-    from tscan_ray.config import DEFAULT_CONFIG
-    from tscan_ray.ops.keyed import task_exchange
-
     if num_buckets is None:
         num_buckets = DEFAULT_CONFIG.num_key_buckets
+    label_row, message_row, edge_row = 0, 1, 2  # the ``kind`` column
 
     def to_edges(batch: pa.Table) -> pa.Table:
-        a = batch.column(src_col)
-        b = batch.column(dst_col)
-        return pa.table({"u": pa.concat_arrays([a.combine_chunks(), b.combine_chunks()]),
-                         "v": pa.concat_arrays([b.combine_chunks(), a.combine_chunks()])})
+        a = batch.column(src_col).combine_chunks()
+        b = batch.column(dst_col).combine_chunks()
+        n = 2 * len(a)
+        return pa.table({"node": pa.concat_arrays([a, b]),
+                         "kind": np.full(n, edge_row, np.int8),
+                         "value": pa.concat_arrays([b, a]),
+                         "changed": np.zeros(n, bool)})
 
-    edges = pairs.map_batches(to_edges, batch_format="pyarrow",
-                              zero_copy_batch=True).materialize()
-    # initial labels: each node starts at min(self, smallest neighbor)
-    # (arrow blocks throughout — union requires matching block types)
-    import pyarrow.compute as pc
+    def step(t: pa.Table) -> pa.Table:
+        node = t.column("node").to_numpy()
+        kind = t.column("kind").to_numpy()
+        value = t.column("value").to_numpy()
+        nodes, inv = np.unique(node, return_inverse=True)
+        label = nodes.copy()
+        np.minimum.at(label, inv, value)
+        changed = np.ones(len(nodes), bool)
+        old = kind == label_row
+        changed[inv[old]] = value[old] != label[inv[old]]
+        edge = kind == edge_row
+        src, dst = node[edge], value[edge]
+        return pa.table({
+            "node": np.concatenate([nodes, dst, src]),
+            "kind": np.repeat(np.array([label_row, message_row, edge_row],
+                                       np.int8),
+                              [len(nodes), len(src), len(src)]),
+            "value": np.concatenate([label, label[inv[edge]], dst]),
+            "changed": np.concatenate([changed, np.zeros(2 * len(src), bool)]),
+        })
 
-    labels = edges.groupby("u").aggregate(agg.Min("v", alias_name="label"))
-    labels = labels.map_batches(
-        lambda t: pa.table({
-            "node": t.column("u"),
-            "label": pc.min_element_wise(t.column("u"), t.column("label")),
-        }),
-        batch_format="pyarrow", zero_copy_batch=True).materialize()
-
+    state = pairs.map_batches(to_edges, batch_format="pyarrow",
+                              zero_copy_batch=True)
     for _ in range(max_iters):
-        # messages: each edge forwards the src's current label to dst
-        def send(df: pd.DataFrame) -> pd.DataFrame:
-            lab = df.loc[df["__side__"] == 0, ["node", "label"]]
-            edg = df.loc[df["__side__"] == 1, ["u", "v"]]
-            m = edg.merge(lab, left_on="u", right_on="node", how="inner")
-            return pd.DataFrame({"node": m["v"], "label": m["label"]})
-
-        # side-tag labels (0) and edges (1) on the shared key u/node
-        l_t = labels.map_batches(
-            lambda df: df.assign(u=df["node"], v=-1, __side__=np.int8(0)),
-            batch_format="pandas")
-        e_t = edges.map_batches(
-            lambda df: df.assign(node=-1, label=-1, __side__=np.int8(1)),
-            batch_format="pandas")
-        msgs = task_exchange(l_t.union(e_t), "u", send, num_buckets)
-        folded = (msgs.union(labels)
-                  .groupby("node").aggregate(agg.Min("label", alias_name="label"))
-                  .materialize())
-        # labels are monotonically non-increasing under hash-min, so the
-        # fixpoint is reached exactly when the label sum stops moving —
-        # one tiny scalar aggregate instead of a join-based diff
-        new_sum = folded.sum("label")
-        old_sum = labels.sum("label")
-        labels = folded
-        if new_sum == old_sum:
+        state = task_exchange(state, "node", step, num_buckets,
+                              batch_format="pyarrow")
+        if not state.sum("changed"):
             break
-    return labels.map_batches(
-        lambda df: df.rename(columns={"label": "component"}),
-        batch_format="pandas")
+
+    def components(t: pa.Table) -> pa.Table:
+        t = t.filter(t.column("kind").to_numpy() == label_row)
+        return pa.table({"node": t.column("node"),
+                         "component": t.column("value")})
+
+    return state.map_batches(components, batch_format="pyarrow",
+                             zero_copy_batch=True)

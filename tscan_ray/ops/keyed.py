@@ -1,10 +1,15 @@
-"""Keyed-bucket exchange primitive for the point-in-time layer.
+"""Keyed-bucket exchange primitive: the library's one keyed shuffle.
 
-Every timeline operator (as-of join, lag/lead, ffill/bfill, sessionize,
-windowed diversity) needs "all rows of one entity together".  The
-engine's exchange is a **two-stage task shuffle built from raw Ray
-tasks** — the documented escape hatch for semantics/performance the
-Dataset API can't deliver:
+Every operator that needs "all rows of one key together" runs on it:
+the timeline operators, the exchange join and every keyed aggregate
+(``ops/agg``, ``ops/dedup``, ``ops/textops.word_frequency_topk``, the
+surprisal n-gram counts; ``connected_components`` runs one exchange per
+iteration).  No library module calls Ray Data's ``groupby().aggregate()``
+(``tests/test_one_exchange.py``).
+
+The exchange is a **two-stage task shuffle built from raw Ray tasks** —
+the documented escape hatch for semantics/performance the Dataset API
+can't deliver:
 
 * measured on this Ray build (2.49), ``groupby().map_groups`` executes
   its SortMap/SortReduce as ONE task each (fully serial exchange), and
@@ -140,7 +145,7 @@ def _split_task(key: str, num_buckets: int, map_block, block):
     its ``num_buckets + 1`` int64 bucket offsets, so bucket ``b`` is rows
     ``offsets[b]:offsets[b + 1]``."""
     tbl = block if isinstance(block, pa.Table) else _pandas_to_arrow(block)
-    if map_block is not None and tbl.num_columns:  # not schema-less
+    if map_block is not None:
         tbl = map_block(tbl)
     if key not in tbl.column_names:  # schema-less empty blocks
         return (_to_ipc(tbl.slice(0, 0)),
@@ -196,6 +201,8 @@ def task_exchange(
     ``map_block``: a per-row Arrow map (``pa.Table -> pa.Table``) that each
     split task applies to its input before bucketing, so the mapped rows
     are put once, already bucket-sorted, with no map stage of their own.
+    It gets every block, so it must map a schema-less empty one (a
+    zero-row file reads as one).
 
     Streaming: one split task is submitted per upstream block as it
     arrives (``iter_internal_ref_bundles`` is a generator over the

@@ -185,9 +185,10 @@ def add_fingerprint(ds, text_col: str, out_col: str = "fingerprint",
 
 def word_frequency_topk(ds, text_col: str, k: int = 20):
     """Global token frequency top-k with per-batch partial aggregation:
-    each batch emits (token, partial_count) rows — the groupby exchange
-    carries pre-reduced partials, then Sum + sort + limit."""
-    import ray.data.aggregate as agg
+    each batch emits (token, partial_count) rows — the keyed exchange on
+    token sums the pre-reduced partials, then sort + limit."""
+    from tscan_ray.config import DEFAULT_CONFIG
+    from tscan_ray.ops.keyed import task_exchange
 
     def partial(batch: pa.Table) -> pa.Table:
         from collections import Counter
@@ -205,7 +206,15 @@ def word_frequency_topk(ds, text_col: str, k: int = 20):
     partials = ds.select_columns([text_col]).map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True
     )
-    totals = partials.groupby("token").aggregate(agg.Sum("partial", alias_name="n"))
+
+    def total(t: pa.Table) -> pa.Table:
+        n = t.to_pandas().groupby("token", sort=False)["partial"].sum()
+        return pa.table({"token": pa.array(n.index, pa.string()),
+                         "n": pa.array(n.to_numpy(), pa.int64())})
+
+    totals = task_exchange(partials, "token", total,
+                           DEFAULT_CONFIG.num_key_buckets,
+                           batch_format="pyarrow")
     return totals.sort(["n", "token"], descending=[True, False]).limit(k)
 
 

@@ -34,7 +34,7 @@ import pandas as pd
 
 from tscan_ray.config import DEFAULT_CONFIG, EngineConfig
 from tscan_ray.ops.keyed import task_exchange
-from tscan_ray.sources.images import synth_images
+from tscan_ray.sources.images import IMAGE_SCHEMA, synth_images
 from tscan_ray.stages import map_slices
 from tscan_ray.stages.featurizer import cluster_cpus
 from tscan_ray.text import features
@@ -68,6 +68,14 @@ class DecodeFeaturize:
 
     def __call__(self, batch):
         return self.featurizer(self.decoder(batch))
+
+
+def _decode_featurize(block, **kwargs):
+    """``map_slices`` of :class:`DecodeFeaturize`; a zero-row images file
+    reads as one schema-less block, mapped as the empty images table."""
+    if not block.num_columns:
+        block = IMAGE_SCHEMA.empty_table()
+    return map_slices(block, stage=DecodeFeaturize, **kwargs)
 
 
 def add_timeline_features(
@@ -222,8 +230,7 @@ def flagship(
     # bucket, and Ray Data runs only the read (BASELINE.md,
     # "Decode+featurize in the split tasks")
     decode_featurize = partial(
-        map_slices, stage=DecodeFeaturize,
-        batch_size=cfg.featurizer_batch_size,
+        _decode_featurize, batch_size=cfg.featurizer_batch_size,
         kwargs={"cfg": cfg, "n_entities": n_entities,
                 "keep_columns": KEEP_COLS,
                 "custom_groups": dict(features._CUSTOM_GROUPS)})

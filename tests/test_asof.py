@@ -185,9 +185,9 @@ class TestIntervalJoin:
 class TestReviewRegressions:
     def test_dedup_uses_right_order_col_despite_collision(self):
         """When order_col exists on BOTH sides, latest-writer-wins must
-        consult the RIGHT side's values (they are renamed inside the
-        exchange), not the null-padded left column — and the result must
-        not depend on input row order."""
+        consult the RIGHT side's values, not the left side's column of
+        the same name — and the result must not depend on input row
+        order."""
         import ray.data as rd
 
         from tscan_ray.ops.asof import asof_join
@@ -237,7 +237,8 @@ class TestReviewRegressions:
         assert "seq_r" in out.columns and out["seq_r"].tolist() == [7]
 
     def test_empty_input_returns_kernel_schema(self):
-        """An empty exchange must not leak __side__/__r_* columns."""
+        """Two empty sides give the kernel's output columns: the left
+        side's own plus the matched right ts and values, nothing else."""
         import ray.data as rd
 
         from tscan_ray.ops.asof import asof_join
@@ -271,3 +272,57 @@ class TestReviewRegressions:
         got = dict(zip(out["k"], out["pay"]))
         assert got[1] == big
         assert pd.isna(got[2])
+
+
+class TestEmptySide:
+    """A join side whose row filter matches nothing has no schema at all
+    (Ray's ``schema()`` is None when every block is empty): it reaches
+    the kernel as a zero-column table, and the join still answers."""
+
+    @staticmethod
+    def _sides():
+        l = rd.from_pandas(pd.DataFrame({"k": [1, 2, 3], "ts": [10, 20, 30],
+                                         "x": ["a", "b", "c"]}))
+        r = rd.from_pandas(pd.DataFrame({"k": [1, 2], "ts": [5, 25],
+                                         "v": [1.5, 2.5]}))
+        return l, r
+
+    @staticmethod
+    def _nothing(ds):
+        return ds.filter(fn=lambda row: row["k"] > 99)
+
+    def test_asof_left_keeps_every_left_row(self):
+        from tscan_ray.ops.asof import asof_join
+
+        l, r = self._sides()
+        out = asof_join(l, self._nothing(r), key="k", ts="ts",
+                        right_value_cols=["v"], how="left",
+                        num_buckets=4).to_pandas().sort_values("k")
+        assert out["k"].tolist() == [1, 2, 3]
+        assert out["x"].tolist() == ["a", "b", "c"]
+        assert out["ts_r"].isna().all() and out["v_r"].isna().all()
+
+    def test_asof_inner_gives_no_rows(self):
+        from tscan_ray.ops.asof import asof_join
+
+        l, r = self._sides()
+        out = asof_join(l, self._nothing(r), key="k", ts="ts",
+                        right_value_cols=["v"], how="inner", num_buckets=4)
+        assert out.count() == 0
+
+    def test_exchange_join_left_keeps_every_left_row(self):
+        from tscan_ray.ops.join import exchange_join
+
+        l, r = self._sides()
+        out = exchange_join(l, self._nothing(r), on="k", right_cols=["v"],
+                            how="left", num_buckets=4).to_pandas()
+        assert sorted(out["k"]) == [1, 2, 3]
+        assert out["v"].isna().all()
+
+    def test_empty_left_gives_no_rows(self):
+        from tscan_ray.ops.asof import asof_join
+
+        l, r = self._sides()
+        out = asof_join(self._nothing(l), r, key="k", ts="ts",
+                        right_value_cols=["v"], how="left", num_buckets=4)
+        assert out.count() == 0

@@ -455,6 +455,78 @@ class TestTwoLevelExchange:
         assert out.schema().names == ["k", "v", "w"]
         assert out.count() == 0
 
+    def test_two_inputs_reach_the_kernel_in_their_own_schemas(
+            self, ray_session):
+        """A tuple of inputs gives the kernel one table per input: only
+        that input's columns, in its own types (a same-named column may
+        differ), and only bucket K's rows; int64 values above 2^53 come
+        through exactly.  An input with no rows arrives as a zero-row
+        table: with its schema when its blocks have one, with no columns
+        when it has no block at all."""
+        import pyarrow as pa
+        import ray
+
+        from tscan_ray.ops.keyed import bucket_of, task_exchange
+
+        big = 1 << 60
+        a = pa.table({"k": pa.array(np.arange(60) % 17, pa.int64()),
+                      "tag": pa.array([f"t{i}" for i in range(60)]),
+                      "pay": pa.array(big + np.arange(60) * 2 + 1, pa.int64()),
+                      "only_a": pa.array(np.arange(60) * 0.5)})
+        b = pa.table({"k": pa.array(np.arange(25) % 11, pa.int64()),
+                      "tag": pa.array(np.arange(25), pa.int32()),
+                      "pay": pa.array(-big - np.arange(25) * 3, pa.int64()),
+                      "only_b": pa.array([f"b{i}" for i in range(25)])})
+        left = rd.from_arrow([a.slice(0, 20), a.slice(20, 20), a.slice(40)])
+        right = rd.from_arrow([b.slice(0, 10), b.slice(10)])
+
+        def kernel(*tables):
+            # one row per call: each input's fields, keys and payloads
+            row = {"n_inputs": [len(tables)]}
+            for i, t in enumerate(tables):
+                row[f"fields{i}"] = [[f"{f.name}:{f.type}" for f in t.schema]]
+                row[f"rows{i}"] = [t.num_rows]
+                if t.num_rows:
+                    row[f"keys{i}"] = [t.column("k").to_pylist()]
+                    row[f"pay{i}"] = [t.column("pay").to_pylist()]
+                else:
+                    row[f"keys{i}"] = pa.array([[]], pa.list_(pa.int64()))
+                    row[f"pay{i}"] = pa.array([[]], pa.list_(pa.int64()))
+            return pa.table(row)
+
+        def calls(ds):
+            out = task_exchange(ds, "k", kernel, num_buckets=4,
+                                batch_format="pyarrow")
+            refs = [ref for bundle in out.iter_internal_ref_bundles()
+                    for ref in bundle.block_refs]
+            return [ray.get(ref).to_pylist()[0] for ref in refs]
+
+        def fields(t):
+            return [f"{f.name}:{f.type}" for f in t.schema]
+
+        got = calls((left, right))
+        assert len(got) == 4
+        for i, t in enumerate((a, b)):
+            pay_of = dict(zip(t.column("pay").to_pylist(),
+                              t.column("k").to_pylist()))
+            seen = []
+            for bucket, call in enumerate(got):
+                assert call["n_inputs"] == 2
+                assert call[f"fields{i}"] == fields(t)
+                keys = np.array(call[f"keys{i}"], dtype=np.int64)
+                assert (bucket_of(keys, 4) == bucket).all()
+                assert [pay_of[p] for p in call[f"pay{i}"]] == \
+                    call[f"keys{i}"]
+                seen += call[f"pay{i}"]
+            assert sorted(seen) == sorted(t.column("pay").to_pylist())
+
+        filtered = right.filter(expr="k < 0")  # empty blocks, with schema
+        for call in calls((left, filtered)):
+            assert call["fields1"] == fields(b) and call["rows1"] == 0
+        for call in calls((left, right.limit(0))):  # no block at all
+            assert call["fields1"] == [] and call["rows1"] == 0
+        assert sum(call["rows0"] for call in calls((left, filtered))) == 60
+
     def test_fresh_process_decodes_the_tensor_type(self, tmp_path):
         """A worker that has imported nothing of Ray Data still decodes a
         split's tensor column as Ray's tensor type, not as its storage

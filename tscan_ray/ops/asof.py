@@ -8,18 +8,19 @@ AT ts is usable AT ts).  Optional tolerance bounds the lookback.
 Ray-Data-native design (north rule; no counterpart in the reference —
 its only joins are broadcast lexicon lookups, SURVEY.md §2.5):
 
-1. sides are tagged and schema-aligned (missing columns -> nulls), then
-   ``union``-ed — Ray's streaming executor interleaves both scans;
+1. the sides stay apart: ``task_exchange((left, right), key, ...)``
+   splits each side's blocks on their own, in their own schema, and
+   reads both scans round-robin so they run together;
 2. ONE keyed task-shuffle exchange (ops/keyed.py) co-locates each key's
    left and right rows;
-3. inside the bucket UDF the Arrow table is split by side BEFORE any
-   pandas conversion (each side's own columns never carry padding
-   nulls, so int64 ids above 2^53 — e.g. phash — survive exactly), then
-   ``pd.merge_asof(by=key)`` matches left rows against a slim
-   (key, ts, row-index) PROBE of the right side — a sorted-merge with
-   binary-search galloping, vectorized across all keys in the bucket —
-   and the right payload columns are gathered by row index afterwards,
-   again without a float round trip.
+3. the bucket UDF gets each side as its own Arrow table in its own
+   schema, so each side converts only its own columns to pandas (no
+   padding nulls, so int64 ids above 2^53 — e.g. phash — survive
+   exactly); a slim (key, ts, row-index) probe of the right side is
+   matched against the left rows by :func:`_asof_indices` — one
+   composite-code ``searchsorted`` gallop, vectorized across all keys
+   in the bucket — and the right payload columns are gathered by row
+   index afterwards, again without a float round trip.
 
 Determinism: right-side duplicates on (key, ts) are reduced to the row
 with the greatest ``order_col`` (latest-writer-wins, using the RIGHT
@@ -38,68 +39,16 @@ import pandas as pd
 import pyarrow as pa
 
 from tscan_ray.config import DEFAULT_CONFIG
-from tscan_ray.ops.keyed import as_arrow_type, task_exchange
-
-_SIDE = "__side__"
+from tscan_ray.ops.keyed import task_exchange
 
 
-def _tag_union(left, right, left_schema, right_schema, r_rename):
-    """Side-tag and schema-align two Datasets, then union them — the
-    shared preamble of every union-exchange join.  Missing columns are
-    null-padded (the bucket UDFs split sides in Arrow before pandas
-    conversion, so the padding never pollutes real columns).
-
-    Returns ``(union_dataset, union_schema)`` — kernels use the schema
-    to stand in for schema-less empty blocks (Ray skips the pad UDF on
-    empty inputs)."""
-    all_cols: dict[str, pa.DataType] = {
-        n: as_arrow_type(t)
-        for n, t in zip(left_schema.names, left_schema.types)}
-    for name, typ in zip(right_schema.names, right_schema.types):
-        all_cols.setdefault(r_rename[name], as_arrow_type(typ))
-    union_names = list(all_cols.keys()) + [_SIDE]
-
-    def pad(side: int, rename: dict[str, str]):
-        def fn(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            present = {rename.get(name, name): batch.column(name)
-                       for name in batch.column_names}
-            cols = {}
-            for name in union_names:
-                if name == _SIDE:
-                    cols[name] = pa.array(np.full(n, side, dtype=np.int8))
-                elif name in present:
-                    cols[name] = present[name]
-                else:
-                    cols[name] = pa.nulls(n, type=all_cols[name])
-            return pa.table(cols)
-
-        return fn
-
-    l_p = left.map_batches(pad(0, {}), batch_format="pyarrow",
-                           zero_copy_batch=True)
-    r_p = right.map_batches(pad(1, r_rename), batch_format="pyarrow",
-                            zero_copy_batch=True)
-    union_schema = pa.schema(
-        [(n, all_cols[n]) for n in all_cols] + [(_SIDE, pa.int8())])
-    return l_p.union(r_p), union_schema
-
-
-def _split_sides(tbl: pa.Table, left_cols: list[str], rcols: list[str],
-                 union_schema: pa.Schema):
-    """Split a side-tagged bucket table into left/right pandas frames.
-    Each side converts only its OWN columns, so no padding nulls (and no
-    int64->float64 degradation) reach either frame.  Schema-less empty
-    blocks (Ray skips map UDFs on empty inputs) are replaced by a typed
-    empty table so downstream column access keeps working."""
-    import pyarrow.compute as pc
-
-    if _SIDE not in tbl.column_names:
-        tbl = union_schema.empty_table()
-    lmask = pc.equal(tbl.column(_SIDE), 0)
-    ldf = tbl.filter(lmask).select(left_cols).to_pandas()
-    rdf = tbl.filter(pc.invert(lmask)).select(rcols).to_pandas()
-    return ldf, rdf.reset_index(drop=True)
+def side_frame(tbl: pa.Table, cols: list[str]) -> pd.DataFrame:
+    """One join side's bucket table as pandas.  A side with no schema at
+    all (every block empty, e.g. a row filter that matched nothing)
+    arrives as a zero-column table: it reads as zero rows of ``cols``."""
+    if tbl.num_columns:
+        return tbl.to_pandas()
+    return pd.DataFrame({c: pd.Series(dtype=object) for c in cols})
 
 
 def nullable_int_dtype(dtype) -> str:
@@ -214,37 +163,19 @@ def asof_join(
     """
     if direction not in ("backward", "forward", "nearest"):
         raise ValueError(direction)
-    left_schema = left.schema()
-    left_cols = list(left_schema.names)
     right_keep = [key, ts] + ([order_col] if order_col and order_col not in (key, ts) else [])
     right_keep += [c for c in right_value_cols if c not in right_keep]
-
-    right = right.select_columns(right_keep)
-    right_schema = right.schema()
-    # normalized right column names inside the exchange (avoid collisions)
-    r_rename = {
-        name: ("__r_" + name if name in left_cols and name not in (key, ts) else name)
-        for name in right_schema.names
-    }
-    both, union_schema = _tag_union(left, right, left_schema,
-                                    right_schema, r_rename)
-
-    rv_cols = [r_rename.get(c, c) for c in right_value_cols]
-    out_rename = {c: right_value_cols[i] + right_suffix for i, c in enumerate(rv_cols)}
-    # the RIGHT side's own order column (possibly renamed) drives the
-    # latest-writer-wins dedup; the left's order column only breaks ties
-    # in the left sort
-    r_order = r_rename.get(order_col, order_col) if order_col else None
-    r_sort_extra = [r_order] if r_order and r_order not in (key, ts) else []
-    l_sort_extra = [order_col] if order_col and order_col in left_cols else []
+    # the RIGHT side's own order column drives the latest-writer-wins
+    # dedup; the left's order column only breaks ties in the left sort
+    r_sort_extra = [order_col] if order_col and order_col not in (key, ts) else []
     ts_r = ts + right_suffix
-    rcols = list(dict.fromkeys([key, ts] + rv_cols + r_sort_extra))
 
-    def merge(tbl: pa.Table) -> pd.DataFrame:
-        ldf, rdf = _split_sides(tbl, left_cols, rcols, union_schema)
+    def merge(lt: pa.Table, rt: pa.Table) -> pd.DataFrame:
+        ldf, rdf = side_frame(lt, [key, ts]), side_frame(rt, right_keep)
         # deterministic dedup of right rows on (key, ts): latest order wins
         rdf = rdf.sort_values([key, ts] + r_sort_extra, kind="mergesort")
         rdf = rdf.drop_duplicates([key, ts], keep="last").reset_index(drop=True)
+        l_sort_extra = [order_col] if order_col in ldf.columns else []
         ldf = ldf.sort_values([ts] + l_sort_extra,
                               kind="mergesort").reset_index(drop=True)
         ridx = _asof_indices(
@@ -259,12 +190,12 @@ def asof_join(
         # gather the matched right values by row index — exact dtypes,
         # no float64 round trip even for >2^53 int64 payloads
         out[ts_r] = _gather(rdf[ts], ridx, out.index)
-        for rc in rv_cols:
-            out[out_rename[rc]] = _gather(rdf[rc], ridx, out.index)
+        for rc in right_value_cols:
+            out[rc + right_suffix] = _gather(rdf[rc], ridx, out.index)
         return out
 
-    return task_exchange(both, key, merge, num_buckets,
-                         batch_format="pyarrow")
+    return task_exchange((left, right.select_columns(right_keep)), key,
+                         merge, num_buckets, batch_format="pyarrow")
 
 
 def interval_join(
@@ -297,37 +228,22 @@ def interval_join(
     Output: left schema + start/end + each right value column.
     ``how='left'`` keeps unmatched left rows with nulls.
     """
-    left_schema = left.schema()
-    left_cols = list(left_schema.names)
     right_keep = list(dict.fromkeys([key, start_col, end_col] + right_value_cols))
-    right = right.select_columns(right_keep)
-    right_schema = right.schema()
+    out_cols = list(dict.fromkeys([start_col, end_col] + right_value_cols))
 
-    r_rename = {
-        name: ("__r_" + name if name in left_cols and name != key else name)
-        for name in right_schema.names
-    }
-    both, union_schema = _tag_union(left, right, left_schema,
-                                    right_schema, r_rename)
-
-    s_c, e_c = r_rename[start_col], r_rename[end_col]
-    rv_cols = [r_rename[c] for c in right_value_cols]
-    out_names = {s_c: start_col, e_c: end_col,
-                 **{rc: right_value_cols[i] for i, rc in enumerate(rv_cols)}}
-    rcols = list(dict.fromkeys([key, s_c, e_c] + rv_cols))
-
-    def merge(tbl: pa.Table) -> pd.DataFrame:
-        ldf, rdf = _split_sides(tbl, left_cols, rcols, union_schema)
+    def merge(lt: pa.Table, rt: pa.Table) -> pd.DataFrame:
+        ldf, rdf = side_frame(lt, [key, ts]), side_frame(rt, right_keep)
         # non-overlapping intervals per key: the latest start <= ts is
         # the unique candidate — the same composite-code searchsorted
         # gallop as asof_join (_asof_indices; replaced the pandas
         # merge_asof probe r5), then the inclusive end-bound filter
-        rdf = rdf.sort_values([key, s_c], kind="mergesort").reset_index(drop=True)
+        rdf = rdf.sort_values([key, start_col],
+                              kind="mergesort").reset_index(drop=True)
         ldf = ldf.sort_values(ts, kind="mergesort").reset_index(drop=True)
         cand = _asof_indices(
             ldf[key].to_numpy(), ldf[ts].to_numpy(),
-            rdf[key].to_numpy(), rdf[s_c].to_numpy(), "backward", None)
-        end_vals = _gather(rdf[e_c], cand, ldf.index)
+            rdf[key].to_numpy(), rdf[start_col].to_numpy(), "backward", None)
+        end_vals = _gather(rdf[end_col], cand, ldf.index)
         matched = ((end_vals.notna() & (ldf[ts] <= end_vals))
                    .fillna(False).to_numpy(dtype=bool))
         if how == "inner":
@@ -336,9 +252,9 @@ def interval_join(
         else:
             ridx = np.where(matched, cand, -1)
         out = ldf
-        for internal, orig in out_names.items():
-            out[orig] = _gather(rdf[internal], ridx, out.index)
+        for c in out_cols:
+            out[c] = _gather(rdf[c], ridx, out.index)
         return out
 
-    return task_exchange(both, key, merge, num_buckets,
-                         batch_format="pyarrow")
+    return task_exchange((left, right.select_columns(right_keep)), key,
+                         merge, num_buckets, batch_format="pyarrow")

@@ -33,6 +33,7 @@ import re
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
@@ -378,11 +379,12 @@ def _verify_pairs_exchange(docs, cand, text_col: str, id_col: str,
     candidate volumes (``ops/dedup.py`` plan step 3-4 fallback).
 
     Two keyed exchanges:
-      1. key = doc id: pair-endpoint rows (2 per pair) union corpus rows;
-         each bucket joins endpoints to texts and computes shingles for
-         the candidate docs it holds ONLY (non-candidate texts are
-         dropped inside the bucket kernel) — emits one
-         (pair_key, slot, shingles:bytes) row per endpoint;
+      1. key = doc id, two inputs: pair-endpoint rows (2 per pair) and
+         corpus rows, each in its own schema; each bucket joins
+         endpoints to texts and computes shingles for the candidate
+         docs it holds ONLY (non-candidate texts are dropped inside the
+         bucket kernel) — emits one (pair_key, slot, shingles:bytes) row
+         per endpoint;
       2. key = pair_key: buckets pair up slot-0/slot-1 shingle sets and
          compute exact Jaccard.
     Shingle sets travel as uint64 bytes; the pair key is a
@@ -403,36 +405,29 @@ def _verify_pairs_exchange(docs, cand, text_col: str, id_col: str,
             "id_a": pa.array(np.concatenate([a, a]), type=pa.int64()),
             "id_b": pa.array(np.concatenate([b, b]), type=pa.int64()),
             "__slot__": pa.array(slot, type=pa.int8()),
-            "__txt__": pa.nulls(2 * len(a), type=pa.string()),
         })
 
     def doc_to_rows(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
         return pa.table({
             "__k__": batch.column(id_col).cast(pa.int64()),
-            "id_a": pa.array(np.full(n, -1), type=pa.int64()),
-            "id_b": pa.array(np.full(n, -1), type=pa.int64()),
-            "__slot__": pa.array(np.full(n, -1, np.int8), type=pa.int8()),
             "__txt__": batch.column(text_col).cast(pa.string()),
         })
 
-    tagged = (cand.map_batches(pair_to_endpoints, batch_format="pyarrow",
-                               zero_copy_batch=True)
-              .union(docs.map_batches(doc_to_rows, batch_format="pyarrow",
-                                      zero_copy_batch=True)))
+    endpoints = cand.map_batches(pair_to_endpoints, batch_format="pyarrow",
+                                 zero_copy_batch=True)
+    texts = docs.map_batches(doc_to_rows, batch_format="pyarrow",
+                             zero_copy_batch=True)
 
-    def join_shingles(t: pa.Table) -> pd.DataFrame:
-        df = t.to_pandas(types_mapper=None)
-        is_doc = df["__slot__"].to_numpy() < 0
-        endp = df.loc[~is_doc, ["__k__", "id_a", "id_b", "__slot__"]]
+    def join_shingles(e: pa.Table, d: pa.Table) -> pd.DataFrame:
         out_schema = {"pair_key": pd.Series(dtype=object),
                       "__slot__": pd.Series(dtype=np.int8),
                       "id_a": pd.Series(dtype=np.int64),
                       "id_b": pd.Series(dtype=np.int64),
                       "__sh__": pd.Series(dtype=object)}
-        if endp.empty:
+        if not e.num_rows or not d.num_rows:
             return pd.DataFrame(out_schema)
-        txt = (df.loc[is_doc, ["__k__", "__txt__"]]
+        endp = e.to_pandas()
+        txt = (d.to_pandas()
                .sort_values(["__k__", "__txt__"], kind="mergesort")
                .drop_duplicates("__k__", keep="first"))
         # shingle only the docs an endpoint actually references
@@ -450,8 +445,8 @@ def _verify_pairs_exchange(docs, cand, text_col: str, id_col: str,
                                dtype=object),
         })
 
-    sides = task_exchange(tagged, "__k__", join_shingles, num_buckets,
-                          batch_format="pyarrow")
+    sides = task_exchange((endpoints, texts), "__k__", join_shingles,
+                          num_buckets, batch_format="pyarrow")
 
     def verify_bucket(df: pd.DataFrame) -> pd.DataFrame:
         from tscan_ray.ops.rounding import round_half_away_scalar
@@ -529,6 +524,13 @@ def hamming64(a: int, b: int) -> int:
     return bin((a ^ b) & ((1 << 64) - 1)).count("1")
 
 
+@ray.remote
+def _changed_labels(block: pa.Table) -> int:
+    """How many rows of a :func:`connected_components` state block are
+    labels that changed this iteration."""
+    return pc.sum(block.column("changed")).as_py() or 0
+
+
 def connected_components(
     pairs,
     src_col: str = "id_a",
@@ -595,7 +597,12 @@ def connected_components(
     for _ in range(max_iters):
         state = task_exchange(state, "node", step, num_buckets,
                               batch_format="pyarrow")
-        if not state.sum("changed"):
+        # the exchange's output is materialized: count the changed labels
+        # with one task per block, where ``Dataset.sum`` would start a
+        # Ray Data executor every iteration
+        if not sum(ray.get([_changed_labels.remote(ref)
+                            for bundle in state.iter_internal_ref_bundles()
+                            for ref in bundle.block_refs])):
             break
 
     def components(t: pa.Table) -> pa.Table:

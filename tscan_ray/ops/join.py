@@ -99,8 +99,9 @@ def exchange_join(
     task-shuffle exchange (ops/keyed.py) and each hash bucket merges its
     slice with a vectorized pandas merge.
 
-    Same single-exchange, side-tagged-union plan as ops/asof.asof_join;
-    each input row moves exactly once.  Skewed keys put whole key groups
+    Same two-input exchange plan as ops/asof.asof_join: the kernel gets
+    each side as its own table in its own schema, and each input row
+    moves exactly once.  Skewed keys put whole key groups
     in one bucket — for a hot key whose rows exceed a worker, pre-split
     by salting the SMALLER side's duplicates (not implemented here;
     document the assumption at call sites).  Prefer broadcast_join
@@ -109,40 +110,26 @@ def exchange_join(
     import numpy as np
 
     from tscan_ray.config import DEFAULT_CONFIG
-    from tscan_ray.ops.asof import _split_sides, _tag_union
+    from tscan_ray.ops.asof import nullable_int_dtype, side_frame
     from tscan_ray.ops.keyed import task_exchange
 
     if how not in ("inner", "left"):
         raise ValueError(how)
     if num_buckets is None:
         num_buckets = DEFAULT_CONFIG.num_key_buckets
+    rcols = [on] + [c for c in right_cols if c != on]
 
-    left_schema = left.schema()
-    left_cols = list(left_schema.names)
-    right = right.select_columns(
-        [on] + [c for c in right_cols if c != on])
-    right_schema = right.schema()
-    r_rename = {n: ("__r_" + n if n in left_cols and n != on else n)
-                for n in right_schema.names}
-    both, union_schema = _tag_union(left, right, left_schema,
-                                    right_schema, r_rename)
-
-    out_rename = {r_rename[c]: c for c in right_cols if c != on}
-    rcols = [on] + list(out_rename.keys())
-
-    def merge(tbl) -> pd.DataFrame:
-        # Arrow-side split: each side converts only its own columns, so
-        # padding nulls never degrade int64 (>2^53-safe, e.g. phash ids)
-        ldf, rdf = _split_sides(tbl, left_cols, rcols, union_schema)
+    def merge(lt, rt) -> pd.DataFrame:
+        # each side converts only its own columns, so no other side's
+        # nulls degrade int64 (>2^53-safe, e.g. phash ids)
+        ldf, rdf = side_frame(lt, [on]), side_frame(rt, rcols)
         if how == "left":
             # unmatched left rows would degrade int payload columns to
             # float64; nullable Int64 keeps them exact alongside NAs
-            from tscan_ray.ops.asof import nullable_int_dtype
-
             for c in rdf.columns:
                 if c != on and np.issubdtype(rdf[c].dtype, np.integer):
                     rdf[c] = rdf[c].astype(nullable_int_dtype(rdf[c].dtype))
-        return ldf.merge(rdf.rename(columns=out_rename), on=on, how=how)
+        return ldf.merge(rdf, on=on, how=how)
 
-    return task_exchange(both, on, merge, num_buckets,
-                         batch_format="pyarrow")
+    return task_exchange((left, right.select_columns(rcols)), on, merge,
+                         num_buckets, batch_format="pyarrow")

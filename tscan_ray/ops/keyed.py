@@ -7,6 +7,14 @@ surprisal n-gram counts; ``connected_components`` runs one exchange per
 iteration).  No library module calls Ray Data's ``groupby().aggregate()``
 (``tests/test_one_exchange.py``).
 
+Two-input operators — ``ops/asof.asof_join`` and ``interval_join``,
+``ops/join.exchange_join`` and ``ops/dedup``'s exchange verification —
+pass a tuple ``(left, right)`` instead of one Dataset.  Each input's
+blocks are split on their own, and reduce K calls the kernel with one
+table per input: bucket K's rows of that input, in that input's own
+schema.  No side is padded to a shared schema, tagged or ``union``-ed
+(``tests/test_one_exchange.py`` fails on either).
+
 The exchange is a **two-stage task shuffle built from raw Ray tasks** —
 the documented escape hatch for semantics/performance the Dataset API
 can't deliver:
@@ -55,6 +63,7 @@ Scale notes
 from __future__ import annotations
 
 import gc
+import itertools
 from collections.abc import Callable
 
 import numpy as np
@@ -158,21 +167,28 @@ def _split_task(key: str, num_buckets: int, map_block, block):
     return _to_ipc(tbl), offsets.astype(np.int64)
 
 
-def _apply(fn, batch_format: str, tbl: pa.Table):
-    """``fn`` applied to ``tbl`` in ``batch_format``; a DataFrame result
-    comes back as an Arrow block."""
-    out = fn(tbl.to_pandas() if batch_format == "pandas" else tbl)
+def _apply(fn, batch_format: str, tables: list[pa.Table]):
+    """``fn`` applied to ``tables`` (one per input) in ``batch_format``; a
+    DataFrame result comes back as an Arrow block."""
+    out = fn(*(t.to_pandas() if batch_format == "pandas" else t
+               for t in tables))
     if isinstance(out, pd.DataFrame):
         return _pandas_to_arrow(out)
     return out
 
 
 @ray.remote
-def _reduce_task(fn, batch_format: str, b: int, *splits):
-    """Concat bucket ``b``'s rows out of every split and apply the user
-    kernel."""
-    return _apply(fn, batch_format, _concat(
-        [_from_ipc(buf).slice(o[b], o[b + 1] - o[b]) for buf, o in splits]))
+def _reduce_task(fn, batch_format: str, b: int, counts: np.ndarray,
+                 *splits):
+    """Concat bucket ``b``'s rows out of each input's splits (the first
+    ``counts[0]`` splits are input 0's, the next ``counts[1]`` input
+    1's, ...) and apply the user kernel to one table per input.  An
+    input with no split arrives as a zero-column table."""
+    slices = [_from_ipc(buf).slice(o[b], o[b + 1] - o[b]) for buf, o in splits]
+    ends = np.cumsum(counts)
+    return _apply(fn, batch_format, [
+        _concat(slices[end - n:end]) if n else pa.table({})
+        for n, end in zip(counts, ends)])
 
 
 def task_exchange(
@@ -191,12 +207,17 @@ def task_exchange(
     (``state/manifest.resumable_write``) relies on that order: it
     commits block K as partition K.
 
-    ``fn`` receives one bucket (all rows of every entity hashed to it) as
-    a pandas DataFrame (default) or a pyarrow Table
+    ``ds`` is one Dataset or a tuple of Datasets, each with a ``key``
+    column.  ``fn`` receives one bucket (all rows of every entity hashed
+    to it) as one argument per input, each in that input's own schema,
+    as a pandas DataFrame (default) or a pyarrow Table
     (``batch_format="pyarrow"`` — use this when the kernel must control
-    the pandas conversion itself, e.g. to keep int64 columns exact in
-    the presence of union null-padding) and must itself be vectorized
+    the pandas conversion itself, e.g. to keep int64 columns exact when
+    it gathers values next to nulls), and must itself be vectorized
     across keys (``df.groupby(key)`` transforms, ``merge_asof``, ...).
+    An input with no rows in the bucket arrives as a zero-row slice of
+    its own splits; an input with no schema at all (no block, or only
+    schema-less empty blocks) arrives as a zero-column table.
 
     ``map_block``: a per-row Arrow map (``pa.Table -> pa.Table``) that each
     split task applies to its input before bucketing, so the mapped rows
@@ -206,13 +227,15 @@ def task_exchange(
 
     Streaming: one split task is submitted per upstream block as it
     arrives (``iter_internal_ref_bundles`` is a generator over the
-    running pipeline), so splitting overlaps the tail of the upstream
+    running pipeline; several inputs are read round-robin, so their
+    scans run together), so splitting overlaps the tail of the upstream
     scan.  Each split is ONE object (bucket-sorted rows as an Arrow IPC
     stream buffer + offsets); reduce task ``b`` fans in over every
     split, decodes each and slices its bucket out.
     """
     import ray.data as rd
 
+    inputs = ds if isinstance(ds, tuple) else (ds,)
     # Ray Data's logical operators and executors reference each other, so
     # the blocks a finished Dataset still points at are freed only by the
     # cyclic collector.  Collect before this exchange puts a full copy of
@@ -220,24 +243,29 @@ def task_exchange(
     # does not carry the previous job's blocks into this job's peak.
     gc.collect()
 
-    splits = [_split_task.remote(key, num_buckets, map_block, block_ref)
-              for bundle in ds.iter_internal_ref_bundles()
+    tagged = [(i, _split_task.remote(key, num_buckets, map_block, block_ref))
+              for bundles in itertools.zip_longest(
+                  *(d.iter_internal_ref_bundles() for d in inputs))
+              for i, bundle in enumerate(bundles) if bundle is not None
               for block_ref in bundle.block_refs]
 
-    if not splits:
-        # empty input: still produce the KERNEL's output schema (the raw
-        # padded-union schema would leak __side__/__r_* columns to
-        # downstream select/write)
-        schema = ds.schema()
-        if schema is None:
+    if not tagged:
+        # no input block: still produce the KERNEL's output schema
+        schemas = [d.schema() for d in inputs]
+        if schemas == [None]:  # one input, with nothing to type
             return ds
-        empty = pa.table({n: pa.nulls(0, type=as_arrow_type(t))
-                          for n, t in zip(schema.names, schema.types)})
+        empties = [pa.table({}) if schema is None else
+                   pa.table({n: pa.nulls(0, type=as_arrow_type(t))
+                             for n, t in zip(schema.names, schema.types)})
+                   for schema in schemas]
         if map_block is not None:
-            empty = map_block(empty)
-        return rd.from_arrow(_apply(fn, batch_format, empty))
+            empties = [map_block(t) for t in empties]
+        return rd.from_arrow(_apply(fn, batch_format, empties))
 
-    outs = [_reduce_task.remote(fn, batch_format, b, *splits)
+    tagged.sort(key=lambda t: t[0])  # stable: each input's splits in order
+    counts = np.bincount([i for i, _ in tagged], minlength=len(inputs))
+    splits = [s for _, s in tagged]
+    outs = [_reduce_task.remote(fn, batch_format, b, counts, *splits)
             for b in range(num_buckets)]
     # materialized, the output is its own computed snapshot: a consumer's
     # iter_internal_ref_bundles() gets the reduce blocks without starting

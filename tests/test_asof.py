@@ -319,6 +319,36 @@ class TestEmptySide:
         assert sorted(out["k"]) == [1, 2, 3]
         assert out["v"].isna().all()
 
+    def test_partly_empty_join_blocks_share_one_schema(self):
+        """String columns of both sides keep their type in every output
+        block: in buckets with no output rows, and in left-join buckets
+        where no row matched."""
+        import pyarrow as pa
+        import ray
+
+        from tscan_ray.ops.asof import asof_join
+
+        l = rd.from_arrow(pa.table({"k": [1, 2, 3, 4, 5, 6],
+                                    "ts": [10, 20, 30, 40, 50, 60],
+                                    "x": ["a", "b", "c", "d", "e", "f"]}))
+        r = rd.from_arrow(pa.table({"k": [1], "ts": [5], "y": ["m"]}))
+
+        def blocks(how):
+            out = asof_join(l, r, key="k", ts="ts", right_value_cols=["y"],
+                            how=how, num_buckets=4)
+            return [ray.get(ref) for bundle in out.iter_internal_ref_bundles()
+                    for ref in bundle.block_refs]
+
+        inner, left = blocks("inner"), blocks("left")
+        assert sum(b.num_rows for b in inner) == 1
+        assert any(b.num_rows == 0 for b in inner)
+        assert any(b.num_rows and b.column("y_r").null_count == b.num_rows
+                   for b in left)
+        for b in inner + left:
+            assert b.schema.field("x").type == pa.string()
+            assert b.schema.field("y_r").type == pa.string()
+            assert b.schema.equals(inner[0].schema)
+
     def test_empty_left_gives_no_rows(self):
         from tscan_ray.ops.asof import asof_join
 

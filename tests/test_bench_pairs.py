@@ -1,6 +1,6 @@
-"""The gain rule of ``tools/bench_pairs.py``: at least 9/10 of the pairs
+"""The gain rule of ``tools/bench_pairs.py`` (at least 9/10 of the pairs
 run won, a median gap wider than the parent's IQR, and no more failures
-than the parent."""
+than the parent) and the run record and steal it reports."""
 
 import importlib.util
 from pathlib import Path
@@ -55,3 +55,31 @@ def test_more_failed_rows_is_no_gain(bp):
 
 def test_parse_seeds(bp):
     assert bp.parse_seeds("31-33,40") == [31, 32, 33, 40]
+
+
+def test_run_record_is_kept(bp, tmp_path):
+    """``run_once`` keeps the run record, the line before the result."""
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json\n"
+        "print(json.dumps({'affinity_cpus': 4, 'steal_frac': [0.01]}))\n"
+        "print(json.dumps({'correct': True, 'failed': 0, 'metrics': {}}))\n")
+    got = bp.run_once(str(tmp_path), "fresh_uniform", 1, 1.0)
+    assert got["correct"] is True
+    assert got["record"] == {"affinity_cpus": 4, "steal_frac": [0.01]}
+
+
+def test_report_gives_steal_and_cpus(bp):
+    """Each side's line gives its median steal over every job of every
+    run, and the CPU counts its runs saw."""
+    runs = []
+    for i in range(4):
+        pair = {"parent": _run(10.0), "change": _run(9.0)}
+        pair["parent"]["record"] = {"affinity_cpus": 4,
+                                    "steal_frac": [0.01 * i, 0.01]}
+        pair["change"]["record"] = {"affinity_cpus": 4 if i else 2,
+                                    "steal_frac": [0.2]}
+        runs.append(pair)
+    lines = bp.summarize(runs, METRICS).splitlines()
+    assert lines[0].endswith("median steal_frac 0.0100, affinity_cpus 4")
+    assert lines[1].endswith("median steal_frac 0.2000, affinity_cpus 2/4")

@@ -247,6 +247,20 @@ class TestConnectedComponents:
         out = connected_components(rd.from_pandas(pairs)).to_pandas()
         assert (out["component"] == 3).all()
 
+    def test_pairs_with_no_rows_give_no_components(self):
+        """A pairs Dataset whose filter matched nothing (empty blocks with
+        the pairs' columns, or with none) gives zero rows, not a failed
+        reduce: its edge rows are made inside the first exchange."""
+        import pandas as pd
+        import ray.data as rd
+
+        from tscan_ray.ops.dedup import connected_components
+
+        pairs = rd.from_pandas(pd.DataFrame({"id_a": [1, 2], "id_b": [2, 3]}))
+        for empty in (pairs.filter(expr="id_a > 99"),
+                      pairs.filter(fn=lambda row: row["id_a"] > 99)):
+            assert connected_components(empty, num_buckets=4).count() == 0
+
 
 class TestFastHashNearThreshold:
     """Distributed leg of judge item r5#7: the real minhash_lsh_pairs

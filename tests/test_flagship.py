@@ -212,6 +212,7 @@ class TestDecodeFeaturizeTasks:
         block gets its own split task: 8 files, 8 blocks, 8 splits."""
         import pyarrow.parquet as pq
 
+        import tscan_ray.ops.window as window
         import tscan_ray.pipelines.flagship as fl
 
         table = pq.read_table(images_path)
@@ -226,7 +227,7 @@ class TestDecodeFeaturizeTasks:
         assert out.count() == table.num_rows
 
         seen = []
-        monkeypatch.setattr(fl, "task_exchange",
+        monkeypatch.setattr(window, "task_exchange",
                             lambda ds, *a, **k: seen.append((ds, k)))
         fl.flagship(None, images_path=str(eight), n_entities=20,
                     num_buckets=8)

@@ -6,26 +6,6 @@ import pytest
 import ray.data as rd
 
 
-class TestSaltedTwoPhase:
-    def test_salted_equals_unsalted(self):
-        from tscan_ray.ops.agg import groupby_sum_2phase
-
-        rng = np.random.default_rng(5)
-        df = pd.DataFrame({"k": rng.integers(0, 3, 500),
-                           "v": rng.random(500)})
-        ds = rd.from_pandas(df).repartition(8)
-        plain = groupby_sum_2phase(ds, ["k"], ["v"]).to_pandas()
-        salted = groupby_sum_2phase(rd.from_pandas(df).repartition(8),
-                                    ["k"], ["v"], salt=4).to_pandas()
-        p = plain.sort_values("k").reset_index(drop=True)
-        s = salted.sort_values("k").reset_index(drop=True)
-        assert (p["k"] == s["k"]).all()
-        assert (p["n"] == s["n"]).all()
-        assert np.allclose(p["sum_v"], s["sum_v"])
-        assert "__salt__" not in salted.columns
-        assert "__skey__" not in salted.columns
-
-
 class TestQuantileNulls:
     def test_nulls_ignored(self):
         import duckdb

@@ -177,6 +177,103 @@ class TestRollingMean:
         assert np.allclose(m["value_rmean3"], o["exp"])
 
 
+class TestTimelineRunner:
+    """The one timeline runner (``ops/window.timeline``): one Arrow sort
+    on (key, ts, order_col), a pandas frame of only the columns the
+    operator reads, and every other column passed through in Arrow."""
+
+    def test_lag_lead_keeps_pass_through_columns_exact(self, ray_session):
+        """Shuffled rows, ts ties broken by ``order_col``, a tz-aware ts
+        and an int64 column with a null and values above 2^53: every
+        output block keeps that column int64 with its exact values, and
+        its rows in (key, ts, order_col) order with the right lag."""
+        import pyarrow as pa
+        import ray
+
+        from tscan_ray.ops.window import lag_lead
+
+        n = 60
+        i = np.random.default_rng(5).permutation(n)
+        big = pa.array([None if j == 17 else (1 << 60) + j for j in i],
+                       pa.int64())
+        ts_type = pa.timestamp("us", tz="Europe/Amsterdam")
+        table = pa.table({
+            "k": i % 5,
+            # rows j and j + 5 of one key share a ts: the tie goes to eid
+            "ts": pa.array((i // 10) * 60_000_000, ts_type),
+            "eid": i,
+            "v": i * 0.5,
+            "big": big,
+        })
+        ds = rd.from_arrow([table.slice(0, 25), table.slice(25)])
+        out = lag_lead(ds, "k", "ts", ["v"], [1], order_col="eid",
+                       num_buckets=4)
+        blocks = [ray.get(ref) for bundle in out.iter_internal_ref_bundles()
+                  for ref in bundle.block_refs]
+        assert sum(b.num_rows for b in blocks) == n
+        big_of = dict(zip(table["eid"].to_pylist(), big.to_pylist()))
+        for b in blocks:
+            assert b.schema.field("big").type == pa.int64()
+            assert b.schema.field("ts").type == ts_type
+            eids = b.column("eid").to_pylist()
+            assert b.column("big").to_pylist() == [big_of[e] for e in eids]
+            rows = list(zip(b.column("k").to_pylist(), b.column("ts").to_pylist(),
+                            eids))
+            assert rows == sorted(rows)
+            # ts ticks by one minute every 10 input rows, eid by 5 within a
+            # key: the previous row of eid e is e - 5
+            want = [None if e < 5 else (e - 5) * 0.5 for e in eids]
+            assert b.column("v_lag1").to_pylist() == want
+
+    def test_flagship_kernel_reads_only_its_columns(self, monkeypatch):
+        """The flagship's bucket kernel, run in this process on a
+        746-column bucket, builds its pandas frame from the key, ts,
+        order column, caption and ``TIMELINE_FEATURES`` only, keeps every
+        input column in Arrow with its type, and appends its columns in
+        the flagship's order."""
+        import pyarrow as pa
+
+        import tscan_ray.ops.window as window
+        from tscan_ray.pipelines.flagship import (
+            KEEP_COLS, TIMELINE_FEATURES, DecodeFeaturize,
+            add_timeline_features)
+        from tscan_ray.sources.images import synth_images_batch
+
+        docs = pa.Table.from_pandas(
+            pd.read_parquet(f"{SF_DIR}/documents.parquet",
+                            columns=["doc_id", "text"]).head(40),
+            preserve_index=False)
+        bucket = DecodeFeaturize(n_entities=4, keep_columns=KEEP_COLS)(
+            synth_images_batch(docs, n_entities=4))
+        assert bucket.num_columns == 746
+
+        kernels, frames = [], []
+        monkeypatch.setattr(window, "task_exchange",
+                            lambda ds, key, fn, *a, **k: kernels.append(fn))
+        real = window.timeline_frame
+
+        def spy(*args):
+            tbl, df = real(*args)
+            frames.append(list(df.columns))
+            return tbl, df
+
+        monkeypatch.setattr(window, "timeline_frame", spy)
+        add_timeline_features(None, snapshot_every=5, n_entities=4)
+        shuffled = bucket.take(pa.array(
+            np.random.default_rng(3).permutation(bucket.num_rows)))
+        out = kernels[0](shuffled)
+
+        assert sorted(frames[0]) == sorted(
+            ["entity_id", "ts", "image_id", "caption"] + TIMELINE_FEATURES)
+        assert out.column_names == bucket.column_names + [
+            c + sfx for c in TIMELINE_FEATURES for sfx in ("_lag1", "_rmean5")
+        ] + ["session_id", "ttr_w5", "mtld_w5", "ts_snap"] + [
+            c + "_snap" for c in TIMELINE_FEATURES]
+        for name in bucket.column_names:
+            assert out.schema.field(name).type == bucket.schema.field(name).type
+        assert out.num_rows == bucket.num_rows
+
+
 class TestTopnPerKey:
     def test_preprune_correct_across_batches(self):
         """The batch-local pre-prune must not lose any global top-n row

@@ -8,7 +8,9 @@ commit as a ``git worktree``).  For each seed the tool runs
 ``python3 perfbench/run.py --workload W --seed S --seconds N --trace 0``
 once in each checkout; the side that runs first alternates from pair to
 pair, so a drift in the machine's load hits both sides alike.  Every
-run's result goes to stderr as one JSON line, as above.
+run's result goes to stderr as one JSON line, as above, with the run
+record perfbench prints before it (environment, steal, every sample)
+under ``"record"``.
 
 For every end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median and quartiles, how many pairs the change won (ties count for
@@ -27,7 +29,9 @@ neither side) and a verdict:
 * ``within bound``: otherwise.
 
 It also prints how many runs of each side were correct and their failed
-rows.  The tool only runs ``perfbench/run.py``; it writes nothing in
+rows, and each side's median ``steal_frac`` over every measured job and
+its ``affinity_cpus``, so a verdict records the CPU count and steal it
+was measured under.  The tool only runs ``perfbench/run.py``; it writes nothing in
 either checkout beyond what that script writes and removes.
 """
 
@@ -54,7 +58,8 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run; its result line, or ``{"error": ...}``."""
+    """One benchmark run; its result line with the run record line before
+    it as ``"record"``, or ``{"error": ...}``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     try:
@@ -65,7 +70,10 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         return {"error": f"exit {proc.returncode}: {proc.stderr[-300:]}"}
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    if len(lines) > 1:
+        result["record"] = json.loads(lines[-2])
+    return result
 
 
 def quartiles(vals: list[float]) -> tuple[float, float, float]:
@@ -104,8 +112,15 @@ def summarize(runs: list[dict], metrics: list[dict]) -> str:
         results = [r[side] for r in runs]
         ok[side] = sum(bool(x.get("correct")) for x in results)
         failed[side] = sum(x.get("failed", 0) for x in results)
+        records = [x.get("record", {}) for x in results]
+        steal = [f for rec in records for f in rec.get("steal_frac", [])]
+        cpus = sorted({rec["affinity_cpus"] for rec in records
+                       if "affinity_cpus" in rec})
         out.append(f"{side}: {ok[side]}/{len(results)} runs correct, "
-                   f"{failed[side]} failed rows")
+                   f"{failed[side]} failed rows, median steal_frac "
+                   + (f"{statistics.median(steal):.4f}" if steal else "n/a")
+                   + ", affinity_cpus "
+                   + ("/".join(map(str, cpus)) if cpus else "n/a"))
     as_reliable = (ok["change"] >= ok["parent"]
                    and failed["change"] <= failed["parent"])
     good = [r for r in runs

@@ -9,11 +9,9 @@ merge); the reference's structStats::merge has the same algebra
 
 Skew handling: the partial phase already collapses hot keys inside each
 batch, which is what salting achieves for pure aggregation — a key with
-10^9 rows reaches the exchange as (num_batches) partial rows.  An
-explicit salt is only needed when the partial rows of ONE key still
-overwhelm a single reducer (billions of batches); ``salt > 0`` switches
-to a two-tier reduce — fold per (key, content-salt) on a composite
-exchange key, then a tiny final fold per key.
+10^9 rows reaches the exchange as (num_batches) partial rows.  (Hot keys
+are salted only where rows, not partials, must meet:
+``ops/window.rolling_time_agg(slice_us=)``.)
 """
 
 from __future__ import annotations
@@ -27,14 +25,11 @@ def groupby_sum_2phase(
     keys: list[str],
     value_cols: list[str],
     count_alias: str = "n",
-    salt: int = 0,
 ):
     """sum(value_cols) + count(*) per ``keys`` with batch-side partials.
 
     Returns one row per key combination, columns ``sum_{col}`` and
-    ``count_alias``.  With ``salt > 0`` an extra deterministic salt column
-    widens the exchange key for a hot first key; the per-bucket fold
-    removes it (same result, more parallel reducers).
+    ``count_alias``.
 
     The reduction runs on the parallel task exchange (ops/keyed.py),
     keyed on ``keys[0]`` — all partials of one key combination land in
@@ -49,38 +44,16 @@ def groupby_sum_2phase(
         out = g[value_cols].sum().reset_index()
         out.columns = keys + sum_names
         out[count_alias] = g.size().to_numpy()
-        if salt > 0:
-            # content-derived salt VARIES across a key's partials (the
-            # partial sums differ batch to batch), so the composite
-            # exchange key below spreads one hot key over up to ``salt``
-            # reducers; deterministic, so retries re-produce the plan
-            from tscan_ray.ops.keyed import _KNUTH
-
-            kh = pd.util.hash_pandas_object(out[keys[0]], index=False).to_numpy()
-            ch = pd.util.hash_pandas_object(out[sum_names[0]], index=False).to_numpy()
-            out["__salt__"] = (ch % np.uint64(salt)).astype(np.int64)
-            out["__skey__"] = (
-                (kh ^ (out["__salt__"].to_numpy().astype(np.uint64) * _KNUTH))
-                >> np.uint64(1)
-            ).astype(np.int64)
         return out
 
     partials = ds.map_batches(partial, batch_format="pandas")
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
-        drop = [c for c in ("__salt__", "__skey__") if c in df.columns]
-        gcols = keys + [c for c in ("__salt__",) if c in df.columns]
         if df.empty:
-            return df.drop(columns=drop)
-        out = (df.groupby(gcols, sort=False, dropna=False)
-               [sum_names + [count_alias]].sum().reset_index())
-        return out.drop(columns=[c for c in drop if c in out.columns])
+            return df
+        return (df.groupby(keys, sort=False, dropna=False)
+                [sum_names + [count_alias]].sum().reset_index())
 
-    if salt > 0:
-        # tier 1: fold per (key, salt) on the composite exchange key;
-        # tier 2: the surviving rows are only keys x salt — a tiny final fold
-        tier1 = task_exchange(partials, "__skey__", fold, num_buckets=32)
-        return task_exchange(tier1, keys[0], fold, num_buckets=32)
     return task_exchange(partials, keys[0], fold, num_buckets=32)
 
 

@@ -553,7 +553,9 @@ def connected_components(
     neighbours; each bucket emits the new labels with a ``changed``
     flag, one message per out-edge and the edges themselves, so the
     exchange's materialized output is the next iteration's input.  The
-    first state is the edges alone, both ways.  Hash-min converges in
+    first state is the edges alone, both ways, made in the first
+    exchange's split tasks (``map_block``: unlike a Ray Data map, it also
+    maps empty blocks).  Hash-min converges in
     O(diameter) iterations (near-dup clusters are shallow: mostly
     cliques from LSH bands); the loop stops after an iteration that
     changes no label.
@@ -563,6 +565,8 @@ def connected_components(
     label_row, message_row, edge_row = 0, 1, 2  # the ``kind`` column
 
     def to_edges(batch: pa.Table) -> pa.Table:
+        if src_col not in batch.column_names:  # a schema-less empty block
+            batch = pa.table({c: pa.array([], pa.int64()) for c in (src_col, dst_col)})
         a = batch.column(src_col).combine_chunks()
         b = batch.column(dst_col).combine_chunks()
         n = 2 * len(a)
@@ -592,11 +596,11 @@ def connected_components(
             "changed": np.concatenate([changed, np.zeros(2 * len(src), bool)]),
         })
 
-    state = pairs.map_batches(to_edges, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    for _ in range(max_iters):
+    state = pairs
+    for i in range(max_iters):
         state = task_exchange(state, "node", step, num_buckets,
-                              batch_format="pyarrow")
+                              batch_format="pyarrow",
+                              map_block=None if i else to_edges)
         # the exchange's output is materialized: count the changed labels
         # with one task per block, where ``Dataset.sum`` would start a
         # Ray Data executor every iteration

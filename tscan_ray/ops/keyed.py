@@ -167,13 +167,26 @@ def _split_task(key: str, num_buckets: int, map_block, block):
     return _to_ipc(tbl), offsets.astype(np.int64)
 
 
-def _apply(fn, batch_format: str, tables: list[pa.Table]):
+def _apply(fn, batch_format: str, tables: list[pa.Table]) -> pa.Table:
     """``fn`` applied to ``tables`` (one per input) in ``batch_format``; a
-    DataFrame result comes back as an Arrow block."""
+    DataFrame result comes back as an Arrow block.  An output column of
+    Arrow type ``null`` (pandas' type for an object column with no
+    values, e.g. a string column of an empty bucket) takes the type of
+    the input column it came from: the longest input name it starts
+    with (its own name, or a join's ``{col}{suffix}``), first input
+    first, so every bucket types it alike."""
     out = fn(*(t.to_pandas() if batch_format == "pandas" else t
                for t in tables))
     if isinstance(out, pd.DataFrame):
-        return _pandas_to_arrow(out)
+        out = _pandas_to_arrow(out)
+    types = {}
+    for t in reversed(tables):  # a name in several inputs: the first's type
+        types.update(zip(t.schema.names, t.schema.types))
+    for i, (name, typ) in enumerate(zip(out.schema.names, out.schema.types)):
+        if typ == pa.null():
+            src = max((n for n in types if name.startswith(n)), key=len,
+                      default=name)
+            out = out.set_column(i, name, out.column(i).cast(types.get(src, typ)))
     return out
 
 

@@ -13,8 +13,11 @@ those to the entity-timeline level per the north rule.  All operators:
 * deterministic tie-breaks: equal timestamps are ordered by
   ``order_col`` (e.g. event_id) — required for reproducible retries.
 
-Everything inside the bucket UDF is vectorized pandas ``groupby``
-transforms over all keys at once — no per-entity Python loop.
+One runner, :func:`timeline`, owns that order: it sorts each bucket's
+Arrow table once, hands the operator's column rules (vectorized pandas
+``groupby`` transforms over all keys at once, each written once, here)
+a pandas frame of only the columns they read, and appends their columns
+to the sorted Arrow rows; every other column keeps its Arrow type.
 """
 
 from __future__ import annotations
@@ -23,13 +26,11 @@ import itertools
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from tscan_ray.config import DEFAULT_CONFIG
 from tscan_ray.ops.keyed import salted_key, task_exchange
-
-
-def _sort_cols(key: str, ts: str, order_col: str | None) -> list[str]:
-    return [key, ts] + ([order_col] if order_col else [])
 
 
 def _ts_us(s: pd.Series) -> pd.Series:
@@ -43,6 +44,70 @@ def _ts_us(s: pd.Series) -> pd.Series:
     if np.issubdtype(s.dtype, np.datetime64):
         return s.astype("datetime64[us]").astype("int64")
     return s.astype("int64")
+
+
+def timeline_frame(tbl: pa.Table, key: str, ts: str, order_col: str | None,
+                   reads: list[str]) -> tuple[pa.Table, pd.DataFrame]:
+    """``tbl``'s rows sorted stably on ``(key, ts[, order_col])``, and a
+    pandas frame of only the sort columns and those of ``reads`` it has."""
+    cols = [key, ts] + ([order_col] if order_col else [])
+    tbl = tbl.take(pc.sort_indices(tbl, [(c, "ascending") for c in cols]))
+    have = set(tbl.column_names)
+    names = [c for c in dict.fromkeys(cols + reads) if c in have]
+    return tbl, tbl.select(names).to_pandas()
+
+
+def timeline(ds, key: str, ts: str, order_col: str | None,
+             reads: list[str], columns, num_buckets: int, map_block=None):
+    """One keyed exchange whose kernel sorts each bucket once
+    (:func:`timeline_frame`) and appends the columns ``columns(frame)``
+    maps name -> values (a dict or DataFrame, in output order) to the
+    sorted rows; a name already there is replaced in place."""
+
+    def fn(tbl: pa.Table) -> pa.Table:
+        tbl, df = timeline_frame(tbl, key, ts, order_col, reads)
+        for name, values in columns(df).items():
+            col = pa.array(values, from_pandas=True)
+            i = tbl.schema.get_field_index(name)
+            tbl = (tbl.set_column(i, name, col) if i >= 0
+                   else tbl.append_column(name, col))
+        return tbl
+
+    return task_exchange(ds, key, fn, num_buckets, batch_format="pyarrow",
+                         map_block=map_block)
+
+
+def lag_columns(df: pd.DataFrame, key: str, cols: list[str],
+                shifts: list[int]) -> dict:
+    """``{col}_lag{k}`` (k > 0) / ``{col}_lead{-k}`` (k < 0) per k, col."""
+    g = df.groupby(key, sort=False)
+    return {c + (f"_lag{k}" if k > 0 else f"_lead{-k}"): g[c].shift(k)
+            for k in shifts for c in cols}
+
+
+def trailing_mean_columns(df: pd.DataFrame, key: str, cols: list[str],
+                          window: int, suffix: str | None = None,
+                          min_periods: int = 1) -> dict:
+    """Mean of each of ``cols`` over the entity's last ``window`` rows."""
+    g = df.groupby(key, sort=False)
+    return {c + (suffix or f"_rmean{window}"): g[c].transform(
+        lambda s: s.rolling(window, min_periods=min_periods).mean())
+        for c in cols}
+
+
+def fill_frame(values: pd.DataFrame, keys: pd.Series,
+               method: str = "ffill") -> pd.DataFrame:
+    """Each column of ``values`` forward- or backward-filled per key."""
+    g = values.groupby(keys, sort=False)
+    return g.ffill() if method == "ffill" else g.bfill()
+
+
+def session_ids(df: pd.DataFrame, key: str, ts: str, gap_us: int) -> pd.Series:
+    """0-based session per entity; a gap over ``gap_us`` starts the next."""
+    tsv = _ts_us(df[ts])
+    prev = tsv.groupby(df[key], sort=False).shift(1)
+    new_session = prev.isna() | ((tsv - prev) > gap_us)
+    return new_session.groupby(df[key], sort=False).cumsum().astype("int64") - 1
 
 
 def lag_lead(
@@ -59,17 +124,8 @@ def lag_lead(
     Positive k = lag (value from k rows earlier: strictly past, leakage-
     free); negative k = lead.  New columns: ``{col}_lag{k}`` / ``{col}_lead{-k}``.
     """
-
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(_sort_cols(key, ts, order_col), kind="mergesort")
-        g = df.groupby(key, sort=False)
-        for k in shifts:
-            name = f"_lag{k}" if k > 0 else f"_lead{-k}"
-            for c in cols:
-                df[c + name] = g[c].shift(k)
-        return df
-
-    return task_exchange(ds, key, fn, num_buckets)
+    return timeline(ds, key, ts, order_col, cols,
+                    lambda df: lag_columns(df, key, cols, shifts), num_buckets)
 
 
 def fill(
@@ -86,14 +142,8 @@ def fill(
     if method not in ("ffill", "bfill"):
         raise ValueError(method)
 
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(_sort_cols(key, ts, order_col), kind="mergesort")
-        g = df.groupby(key, sort=False)
-        for c in cols:
-            df[c + suffix] = g[c].ffill() if method == "ffill" else g[c].bfill()
-        return df
-
-    return task_exchange(ds, key, fn, num_buckets)
+    return timeline(ds, key, ts, order_col, cols, lambda df: fill_frame(
+        df[cols], df[key], method).add_suffix(suffix), num_buckets)
 
 
 def sessionize(
@@ -109,16 +159,9 @@ def sessionize(
     entity's previous event exceeds ``gap_us``.  ``session_id`` is 0-based
     per entity (deterministic given (key, ts, order_col) ordering).
     """
-
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(_sort_cols(key, ts, order_col), kind="mergesort")
-        tsv = _ts_us(df[ts])
-        prev = tsv.groupby(df[key], sort=False).shift(1)
-        new_session = prev.isna() | ((tsv - prev) > gap_us)
-        df[out_col] = new_session.groupby(df[key], sort=False).cumsum().astype("int64") - 1
-        return df
-
-    return task_exchange(ds, key, fn, num_buckets)
+    return timeline(ds, key, ts, order_col, [],
+                    lambda df: {out_col: session_ids(df, key, ts, gap_us)},
+                    num_buckets)
 
 
 def session_stats(
@@ -135,12 +178,10 @@ def session_stats(
     aggregate happens inside the same bucket UDF (an entity's sessions
     never span buckets), so no second exchange is needed."""
 
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(_sort_cols(key, ts, order_col), kind="mergesort")
-        tsv = _ts_us(df[ts])
-        prev = tsv.groupby(df[key], sort=False).shift(1)
-        new_session = prev.isna() | ((tsv - prev) > gap_us)
-        df = df.assign(session_id=new_session.groupby(df[key], sort=False).cumsum().astype("int64") - 1)
+    def fn(tbl: pa.Table) -> pd.DataFrame:
+        _, df = timeline_frame(tbl, key, ts, order_col,
+                                [value_col] if value_col else [])
+        df = df.assign(session_id=session_ids(df, key, ts, gap_us))
         aggs = {"n_events": (ts, "size"), "start_ts": (ts, "min"), "end_ts": (ts, "max")}
         if value_col:
             aggs["sum_value"] = (value_col, "sum")
@@ -152,7 +193,7 @@ def session_stats(
         )
         return out
 
-    return task_exchange(ds, key, fn, num_buckets)
+    return task_exchange(ds, key, fn, num_buckets, batch_format="pyarrow")
 
 
 def tumbling_window(
@@ -204,18 +245,17 @@ def rolling_text_diversity(
 
     Adds ``ttr_w{window}`` and ``mtld_w{window}`` columns.
     """
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(_sort_cols(key, ts, order_col), kind="mergesort")
-        return rolling_diversity_frame(df, key, text_col, window)
-
-    return task_exchange(ds, key, fn, num_buckets)
+    return timeline(
+        ds, key, ts, order_col, [text_col],
+        lambda df: rolling_diversity_frame(df, key, text_col, window),
+        num_buckets)
 
 
 def rolling_diversity_frame(df: pd.DataFrame, key: str, text_col: str,
                             window: int) -> pd.DataFrame:
-    """Shared kernel: trailing-window TTR/MTLD columns over an ALREADY
-    (key, ts)-sorted frame.  Used by :func:`rolling_text_diversity` and by
-    the flagship's fused timeline UDF.
+    """The ``ttr_w{window}`` and ``mtld_w{window}`` columns of an ALREADY
+    (key, ts)-sorted frame.  Used by :func:`rolling_text_diversity` and
+    by the flagship's timeline.
 
     Row i's window is the lowercased words of its entity's rows
     ``max(entity start, i - window + 1) .. i``; a missing text (None /
@@ -240,9 +280,8 @@ def rolling_diversity_frame(df: pd.DataFrame, key: str, text_col: str,
     entity_start = np.maximum.accumulate(np.where(first, idx, 0))
     lo = np.maximum(entity_start, idx - window + 1)
     ttrs, mtlds = windowed_diversity(ids, off[lo], off[1:])
-    df[f"ttr_w{window}"] = ttrs
-    df[f"mtld_w{window}"] = mtlds
-    return df
+    return pd.DataFrame({f"ttr_w{window}": ttrs, f"mtld_w{window}": mtlds},
+                        index=df.index)
 
 
 def rolling_mean(
@@ -258,18 +297,10 @@ def rolling_mean(
 ):
     """Trailing rolling mean over the last ``window`` rows of the entity's
     timeline INCLUDING the current row (ts' <= ts: point-in-time safe)."""
-    suffix = suffix or f"_rmean{window}"
-
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(_sort_cols(key, ts, order_col), kind="mergesort")
-        g = df.groupby(key, sort=False)
-        for c in cols:
-            df[c + suffix] = g[c].transform(
-                lambda s: s.rolling(window, min_periods=min_periods).mean()
-            )
-        return df
-
-    return task_exchange(ds, key, fn, num_buckets)
+    return timeline(ds, key, ts, order_col, cols,
+                    lambda df: trailing_mean_columns(df, key, cols, window,
+                                                     suffix, min_periods),
+                    num_buckets)
 
 
 def expanding_agg(
@@ -290,36 +321,29 @@ def expanding_agg(
     no per-row Python.
     """
 
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(_sort_cols(key, ts, order_col), kind="mergesort")
-        g = df.groupby(key, sort=False)[value_col]
+    def columns(df: pd.DataFrame) -> dict:
+        v = df[value_col]
+        g = v.groupby(df[key], sort=False)
         # SQL aggregate null rules: count/sum/mean are over NON-null
         # values (pandas cumsum/cummin/cummax already skip NaN; a
         # cumcount-based denominator would count null rows too)
-        df[value_col + "_cnt"] = (
-            df[value_col].notna().groupby(df[key], sort=False).cumsum()
-            .astype("int64"))
-        csum, cmin, cmax = g.cumsum(), g.cummin(), g.cummax()
-        if df[value_col].isna().any():
+        cnt = v.notna().groupby(df[key], sort=False).cumsum().astype("int64")
+        cum = pd.DataFrame({"_csum": g.cumsum(), "_cmin": g.cummin(),
+                            "_cmax": g.cummax()})
+        if v.isna().any():
             # SQL running sum/min/max AT a null-value row return the
             # aggregate of prior non-null values; pandas cum* emit NaN at
             # the null row itself (they only skip nulls for later rows).
             # Forward-fill per key; rows before the first non-null stay
             # NaN (= SQL NULL, no values in frame yet).
-            gk = df[key]
-            csum = csum.groupby(gk, sort=False).ffill()
-            cmin = cmin.groupby(gk, sort=False).ffill()
-            cmax = cmax.groupby(gk, sort=False).ffill()
-        df[value_col + "_csum"] = csum
+            cum = fill_frame(cum, df[key])
         with np.errstate(invalid="ignore", divide="ignore"):
-            df[value_col + "_cmean"] = (
-                df[value_col + "_csum"] / df[value_col + "_cnt"].where(
-                    df[value_col + "_cnt"] > 0))
-        df[value_col + "_cmin"] = cmin
-        df[value_col + "_cmax"] = cmax
-        return df
+            cmean = cum["_csum"] / cnt.where(cnt > 0)
+        return {value_col + "_cnt": cnt, value_col + "_csum": cum["_csum"],
+                value_col + "_cmean": cmean, value_col + "_cmin": cum["_cmin"],
+                value_col + "_cmax": cum["_cmax"]}
 
-    return task_exchange(ds, key, fn, num_buckets)
+    return timeline(ds, key, ts, order_col, [value_col], columns, num_buckets)
 
 
 def topn_per_key(
@@ -441,7 +465,7 @@ def _seg_bounds(*arrays: np.ndarray) -> np.ndarray:
     change = np.zeros(n, dtype=bool)
     for a in arrays:
         change[1:] |= a[1:] != a[:-1]
-    change[0] = True
+    change[:1] = True
     return np.append(np.flatnonzero(change), n)
 
 
@@ -477,27 +501,19 @@ def rolling_time_agg(
 
     _SLICE, _CTX, _SKEY = "__slice__", "__ctx__", "__skey__"
 
-    def compute(df: pd.DataFrame, seg_arrays: list[np.ndarray]) -> pd.DataFrame:
-        if df.empty:  # a hash bucket no key mapped to
-            return df.assign(rt_n=pd.Series(dtype="int64"),
-                             rt_sum=pd.Series(dtype="float64"),
-                             rt_mean=pd.Series(dtype="float64"))
+    def columns(df: pd.DataFrame, seg_arrays: list[np.ndarray]) -> dict:
         micros = _ts_us(df[ts]).to_numpy()
         vals = df[value_col].to_numpy(dtype=np.float64)
         bounds = _seg_bounds(*seg_arrays)
         s, n, nn = _time_rolling_kernel(micros, vals, bounds, window_us)
-        df["rt_n"] = n
-        df["rt_sum"] = s
         with np.errstate(invalid="ignore", divide="ignore"):
-            df["rt_mean"] = np.where(nn > 0, s / np.maximum(nn, 1), np.nan)
-        return df
+            mean = np.where(nn > 0, s / np.maximum(nn, 1), np.nan)
+        return {"rt_n": n, "rt_sum": s, "rt_mean": mean}
 
     if slice_us is None:
-        def fn(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.sort_values([key, ts], kind="mergesort")
-            return compute(df, [df[key].to_numpy()])
-
-        return task_exchange(ds, key, fn, num_buckets)
+        return timeline(ds, key, ts, None, [value_col],
+                        lambda df: columns(df, [df[key].to_numpy()]),
+                        num_buckets)
 
     def replicate(df: pd.DataFrame) -> pd.DataFrame:
         micros = _ts_us(df[ts]).to_numpy()
@@ -515,7 +531,7 @@ def rolling_time_agg(
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values([key, _SLICE, ts], kind="mergesort")
         codes = pd.factorize(df[key], use_na_sentinel=False)[0]
-        df = compute(df, [codes, df[_SLICE].to_numpy()])
+        df = df.assign(**columns(df, [codes, df[_SLICE].to_numpy()]))
         df = df[df[_CTX] == 0]
         return df.drop(columns=[_SLICE, _CTX, _SKEY])
 
@@ -542,8 +558,7 @@ def expanding_znorm(
     Vectorized via cumulative sum / sum-of-squares transforms.
     """
 
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(_sort_cols(key, ts, order_col), kind="mergesort")
+    def columns(df: pd.DataFrame) -> dict:
         g = df.groupby(key, sort=False)[value_col]
         # n = running NON-null count (SQL semantics; cumcount would count
         # null rows and bias the mean/std)
@@ -559,10 +574,9 @@ def expanding_znorm(
             std = np.sqrt(var)
             z = (df[value_col].to_numpy(dtype=np.float64) - mean) / std
         z[(n < 2) | (std == 0)] = np.nan
-        df[value_col + "_zexp"] = z
-        return df
+        return {value_col + "_zexp": z}
 
-    return task_exchange(ds, key, fn, num_buckets)
+    return timeline(ds, key, ts, order_col, [value_col], columns, num_buckets)
 
 
 def rolling_time_distinct(
@@ -584,10 +598,7 @@ def rolling_time_distinct(
     per-segment binary searches (values are pre-factorized to ints).
     """
 
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return df.assign(**{out_col: pd.Series(dtype="int64")})
-        df = df.sort_values([key, ts], kind="mergesort")
+    def columns(df: pd.DataFrame) -> dict:
         micros = _ts_us(df[ts]).to_numpy()
         vals = pd.factorize(df[value_col], use_na_sentinel=False)[0]
         bounds = _seg_bounds(df[key].to_numpy())
@@ -613,7 +624,6 @@ def rolling_time_distinct(
                     lo += 1
                 res[i] = len(cnt)
             out[s:e] = res
-        df[out_col] = out
-        return df
+        return {out_col: out}
 
-    return task_exchange(ds, key, fn, num_buckets)
+    return timeline(ds, key, ts, None, [value_col], columns, num_buckets)

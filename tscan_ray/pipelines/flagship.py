@@ -10,30 +10,31 @@ point-in-time-enriched feature table.
         decode+validate (PSNR>=40, ahash, drop bytes) → caption
         featurizer (T-scan vector), in featurizer_batch_size slices,
         then the rows sorted by bucket and put once as an IPC buffer
-      reduce side, per entity ordered by ts:
-        lag-1 of selected features (strictly past), trailing rolling mean,
-        gap-based session_id, and the snapshot as-of features
-        ("feature vector as of the entity's last k-th-event snapshot" —
-        right side ⊆ left rows, so the as-of reduces to a marked-row
-        forward fill inside the same bucket UDF)
+      reduce side, the ops/window timeline runner, per entity ordered
+        by (ts, image_id): lag-1 of selected features (strictly past),
+        trailing rolling mean, gap-based session_id, windowed TTR/MTLD
+        of the captions, and the snapshot as-of features ("feature
+        vector as of the entity's last k-th-event snapshot" — right
+        side ⊆ left rows, so the as-of reduces to a marked-row forward
+        fill inside the same bucket kernel)
         ▼
     state.manifest.resumable_write (key-hash partitions + manifests)
 
 Scale shape: exactly ONE all-to-all exchange.  It carries the whole
 featurized row, ~746 columns (the binary payload is dropped at decode,
-before the rows leave the split task); the timeline kernel reads only
-``TIMELINE_FEATURES`` of them.  Everything else streams with
-backpressure.
+before the rows leave the split task).  The timeline kernel sorts the
+bucket in Arrow and converts only ``entity_id``, ``ts``, ``image_id``,
+``caption`` and ``TIMELINE_FEATURES`` to pandas; its 16 columns are
+appended to the sorted Arrow rows, so the other columns never pass
+through pandas.  Everything else streams with backpressure.
 """
 
 from __future__ import annotations
 
 from functools import partial
 
-import pandas as pd
-
 from tscan_ray.config import DEFAULT_CONFIG, EngineConfig
-from tscan_ray.ops.keyed import task_exchange
+from tscan_ray.ops import window
 from tscan_ray.sources.images import IMAGE_SCHEMA, synth_images
 from tscan_ray.stages import map_slices
 from tscan_ray.stages.featurizer import cluster_cpus
@@ -95,9 +96,14 @@ def add_timeline_features(
 ):
     """Lag-1 + trailing rolling mean + session_id + windowed TTR/MTLD over
     the entity's trailing captions — and, when ``snapshot_every`` is set,
-    the snapshot as-of features — in ONE keyed exchange (fused bucket UDF
-    instead of chained shuffles).  MTLD is non-decomposable, so the
-    window recomputes from buffered tokens (SURVEY.md §7.4).
+    the snapshot as-of features — in ONE keyed exchange (fused bucket
+    kernel instead of chained shuffles).  MTLD is non-decomposable, so
+    the window recomputes from buffered tokens (SURVEY.md §7.4).
+
+    It runs through the ``ops/window`` timeline runner and column rules,
+    which append ``c_lag1, c_rmean{rolling_window}`` per feature,
+    ``session_id``, ``ttr_w{w}, mtld_w{w}``, ``ts_snap`` and ``c_snap``
+    per feature to the sorted Arrow rows.
 
     The snapshot as-of is the degenerate-but-common case where the right
     side is a subset of the left rows: "latest snapshot row with
@@ -109,36 +115,27 @@ def add_timeline_features(
     ``map_block`` goes to :func:`~tscan_ray.ops.keyed.task_exchange`: a
     per-row Arrow map its split tasks apply to ``ds``'s blocks first."""
 
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([key, ts, order_col], kind="mergesort")
-        g = df.groupby(key, sort=False)
-        for c in feature_cols:
-            df[c + "_lag1"] = g[c].shift(1)
-            df[c + f"_rmean{rolling_window}"] = g[c].transform(
-                lambda s: s.rolling(rolling_window, min_periods=1).mean()
-            )
-        tsv = df[ts].astype("datetime64[us]").astype("int64")
-        prev = tsv.groupby(df[key], sort=False).shift(1)
-        new_session = prev.isna() | ((tsv - prev) > cfg.session_gap_us)
-        df["session_id"] = (
-            new_session.groupby(df[key], sort=False).cumsum().astype("int64") - 1
-        )
+    def columns(df):
+        out = {}
+        for c in feature_cols:  # each feature's lag, then its mean
+            out.update(window.lag_columns(df, key, [c], [1]))
+            out.update(window.trailing_mean_columns(df, key, [c],
+                                                    rolling_window))
+        out["session_id"] = window.session_ids(df, key, ts, cfg.session_gap_us)
         if diversity_window is not None and text_col in df.columns:
-            from tscan_ray.ops.window import rolling_diversity_frame
-
-            df = rolling_diversity_frame(df, key, text_col, diversity_window)
+            out.update(window.rolling_diversity_frame(df, key, text_col,
+                                                      diversity_window))
         if snapshot_every is not None:
             seq = df[order_col].str.slice(4).astype("int64") // (n_entities or 1)
-            is_snap = (seq % snapshot_every) == 0
-            df["ts_snap"] = df[ts].where(is_snap)
-            df["ts_snap"] = df.groupby(key, sort=False)["ts_snap"].ffill()
-            for c in feature_cols:
-                df[c + "_snap"] = df[c].where(is_snap)
-                df[c + "_snap"] = df.groupby(key, sort=False)[c + "_snap"].ffill()
-        return df
+            snap = df[[ts] + feature_cols].where(
+                (seq % snapshot_every) == 0, axis=0)
+            snap.columns = ["ts_snap"] + [c + "_snap" for c in feature_cols]
+            out.update(window.fill_frame(snap, df[key]))
+        return out
 
-    return task_exchange(ds, key, fn, num_buckets or cfg.num_key_buckets,
-                         map_block=map_block)
+    return window.timeline(
+        ds, key, ts, order_col, feature_cols + [text_col], columns,
+        num_buckets or cfg.num_key_buckets, map_block=map_block)
 
 
 def amplify_docs(docs, sf_dir: str, amplify: int):

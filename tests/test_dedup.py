@@ -56,6 +56,41 @@ class TestExactDedup:
                 == ["", "a", "<null>", "b", "c"])
 
 
+def _reference_pairs(corpus, threshold: float, num_perm: int = 64,
+                     bands: int = 16, k: int = 3) -> dict:
+    """(id_a, id_b) -> Jaccard of the near-dup pairs, one doc at a time:
+    ids that share a band key of any of their texts are candidates,
+    verified on each id's lexicographically smallest text."""
+    from collections import defaultdict
+
+    from tscan_ray.ops.dedup import (_minhash_params, band_keys,
+                                     minhash_signature, ngram_jaccard,
+                                     shingles)
+
+    a, b = _minhash_params(num_perm)
+    ids_of = defaultdict(set)
+    for i, text in zip(corpus["doc_id"], corpus["text"]):
+        sh = shingles(text or "", k)
+        if sh.size:
+            for key in band_keys(minhash_signature(sh, a, b), bands):
+                ids_of[key].add(int(i))
+    smallest = corpus.sort_values(["doc_id", "text"]).drop_duplicates(
+        "doc_id").set_index("doc_id")["text"]
+    out = {}
+    for x, y in {(x, y) for ids in ids_of.values()
+                 for x in ids for y in ids if x < y}:
+        j = ngram_jaccard(smallest[x] or "", smallest[y] or "", k)
+        if j >= threshold:
+            out[(x, y)] = j
+    return out
+
+
+def _pair_map(pairs) -> dict:
+    assert list(pairs.columns) == ["id_a", "id_b", "jaccard"]
+    assert not pairs.duplicated(["id_a", "id_b"]).any()
+    return {(int(a), int(b)): j for a, b, j in pairs.itertuples(index=False)}
+
+
 class TestMinhash:
     def test_signature_properties(self):
         from tscan_ray.ops.dedup import _minhash_params, minhash_signature, shingles
@@ -94,31 +129,58 @@ class TestMinhash:
         j12 = pairs.set_index(["id_a", "id_b"]).loc[(1, 2), "jaccard"]
         assert j12 == pytest.approx(1.0)
 
-    def test_exchange_verify_matches_broadcast(self, docs):
-        """The doc-keyed exchange verify path (broadcast_max_ids cutover)
-        must produce the exact same pair set as the broadcast path —
-        forced by broadcast_max_ids=0 on a corpus with real near-dups."""
+    def test_pairs_match_scalar_reference(self, docs):
+        """The pair set and its Jaccard values equal a scalar reference
+        built from the module's own kernels (shingles -> signature ->
+        band-key collisions -> exact Jaccard >= threshold) on a corpus
+        with planted near/exact dups."""
         import pandas as pd
 
         from tscan_ray.ops.dedup import minhash_lsh_pairs
 
         texts = docs.limit(150).to_pandas()
-        # plant near/exact dups so both paths have verification work
         dup = texts.head(12).copy()
         dup["doc_id"] = dup["doc_id"] + 1_000_000
         dup.loc[dup.index[:6], "text"] = (
             dup.loc[dup.index[:6], "text"].str.replace(" de ", " het ", n=1))
-        corpus = rd.from_pandas(pd.concat([texts, dup], ignore_index=True))
+        corpus = pd.concat([texts, dup], ignore_index=True)
 
-        kw = dict(jaccard_threshold=0.5)
-        bcast = minhash_lsh_pairs(corpus, "text", "doc_id", **kw).to_pandas()
-        exch = minhash_lsh_pairs(corpus, "text", "doc_id",
-                                 broadcast_max_ids=0, **kw).to_pandas()
-        key = ["id_a", "id_b"]
-        b = bcast.sort_values(key).reset_index(drop=True)
-        e = exch.sort_values(key).reset_index(drop=True)
-        assert len(b) > 0  # the planted dups must surface
-        pd.testing.assert_frame_equal(b, e)
+        got = minhash_lsh_pairs(rd.from_pandas(corpus), "text", "doc_id",
+                                jaccard_threshold=0.5).to_pandas()
+        want = _reference_pairs(corpus, 0.5)
+        assert len(want) > 0  # the planted dups must surface
+        assert _pair_map(got) == pytest.approx(want, abs=1e-6)
+
+    def test_repeated_id_verifies_its_smallest_text(self, monkeypatch):
+        """A doc id repeated with two texts is verified with the
+        lexicographically smallest one, whichever input block holds it,
+        and the pairs do not depend on the bucket count (2 or 8)."""
+        import pandas as pd
+
+        from tscan_ray.ops import keyed
+        from tscan_ray.ops.dedup import minhash_lsh_pairs
+
+        base = ("the quick brown fox jumps over the lazy dog while the cat "
+                "watches from the warm stone wall near the old garden gate")
+        other = ("completely different content about distributed data "
+                 "processing engines and arrow columnar batch execution")
+        blocks = [
+            pd.DataFrame({"doc_id": [1, 2, 7],
+                          "text": [base, base.replace("dog", "hound"), base]}),
+            pd.DataFrame({"doc_id": [3, 7],
+                          "text": [other, other + " with extra words"]}),
+        ]
+        corpus = pd.concat(blocks, ignore_index=True)
+        want = _reference_pairs(corpus, 0.5)
+        # doc 7's smallest text is the `other` variant: it pairs with 3,
+        # not with 1 and 2
+        assert set(want) == {(1, 2), (3, 7)}
+        for n in (2, 8):
+            monkeypatch.setattr(keyed, "cluster_cpus", lambda n=n: n)
+            out = minhash_lsh_pairs(rd.from_pandas(blocks), "text", "doc_id",
+                                    jaccard_threshold=0.5)
+            assert out.num_blocks() == n
+            assert _pair_map(out.to_pandas()) == pytest.approx(want, abs=1e-6)
 
     def test_fast_hash_matches_md5_pairs(self, docs):
         """hash_impl='fast' (memoized-token + rolling-Horner grams) must
@@ -201,6 +263,18 @@ def _union_find(pairs) -> dict:
     return {n: find(n) for n in parent}
 
 
+_COMPONENT_SCHEMA = "node: int64, component: int64"
+
+
+def _block_schemas(ds) -> list[str]:
+    """Each output block's schema, as ``name: type`` pairs."""
+    import ray
+
+    return [", ".join(f"{f.name}: {f.type}" for f in ray.get(ref).schema)
+            for bundle in ds.iter_internal_ref_bundles()
+            for ref in bundle.block_refs]
+
+
 class TestConnectedComponents:
     @staticmethod
     def _components(pairs) -> dict:
@@ -259,7 +333,23 @@ class TestConnectedComponents:
         pairs = rd.from_pandas(pd.DataFrame({"id_a": [1, 2], "id_b": [2, 3]}))
         for empty in (pairs.filter(expr="id_a > 99"),
                       pairs.filter(fn=lambda row: row["id_a"] > 99)):
-            assert connected_components(empty, num_buckets=4).count() == 0
+            out = connected_components(empty, num_buckets=4)
+            assert out.count() == 0
+            assert _block_schemas(out) == [_COMPONENT_SCHEMA] * 4
+
+    def test_every_block_has_the_component_schema(self):
+        """Two pairs over 4 buckets leave zero-row buckets: every output
+        block still has the (node, component) schema."""
+        import pandas as pd
+        import ray.data as rd
+
+        from tscan_ray.ops.dedup import connected_components
+
+        pairs = rd.from_pandas(pd.DataFrame({"id_a": [1, 2], "id_b": [2, 3]}))
+        out = connected_components(pairs, num_buckets=4)
+        assert _block_schemas(out) == [_COMPONENT_SCHEMA] * 4
+        got = out.to_pandas()
+        assert dict(zip(got["node"], got["component"])) == {1: 1, 2: 1, 3: 1}
 
 
 class TestFastHashNearThreshold:

@@ -158,7 +158,7 @@ class TestReadBlocks:
 
     def test_single_file_gives_one_block_per_cpu(self, tmp_path):
         from tscan_ray.sources import io
-        from tscan_ray.stages.featurizer import cluster_cpus
+        from tscan_ray.ops.keyed import cluster_cpus
 
         d = str(tmp_path / "one")
         _write_files(d, n_files=1, n_cols=3, rows=100)
@@ -174,7 +174,7 @@ class TestReadBlocks:
 
     def test_nested_files_are_counted(self, tmp_path):
         from tscan_ray.sources import io
-        from tscan_ray.stages.featurizer import cluster_cpus
+        from tscan_ray.ops.keyed import cluster_cpus
 
         d = tmp_path / "nested"
         n = cluster_cpus() + 2

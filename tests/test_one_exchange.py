@@ -3,13 +3,17 @@
 ``ray.data.aggregate`` or calls an ``.aggregate(...)`` method.  Two-input
 operators pass ``task_exchange`` a tuple of inputs: no module under
 ``tscan_ray/ops/`` or ``tscan_ray/pipelines/`` calls ``.union(...)`` or
-spells a ``"__side__"`` tag column."""
+spells a ``"__side__"`` tag column.  The exchange sizes itself to the
+cluster: no module passes it a literal bucket count, and only the
+flagship, whose bucket count is its sink's partition layout, reads
+``EngineConfig.num_key_buckets``."""
 
 import ast
 import pathlib
 
 PKG = pathlib.Path(__file__).resolve().parent.parent / "tscan_ray"
 SIDE_TAG = "__side__"
+FLAGSHIP = PKG / "pipelines" / "flagship.py"
 
 
 def _aggregate_uses(tree: ast.AST) -> list[int]:
@@ -94,3 +98,50 @@ def test_guard_detects_union_uses():
                 "unionize(a, b)",
                 "side = '__slot__'"):
         assert not _union_uses(ast.parse(src)), src
+
+
+def _bucket_guesses(tree: ast.AST, reads_config: bool = False) -> list[int]:
+    """Lines that pass ``task_exchange`` an int literal bucket count (the
+    fourth positional argument or ``num_buckets=``) or, unless
+    ``reads_config``, read an attribute named ``num_key_buckets``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and "task_exchange" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)):
+            counts = node.args[3:4] + [kw.value for kw in node.keywords
+                                       if kw.arg == "num_buckets"]
+            if any(isinstance(c, ast.Constant) and isinstance(c.value, int)
+                   for c in counts):
+                lines.append(node.lineno)
+        elif (not reads_config and isinstance(node, ast.Attribute)
+              and node.attr == "num_key_buckets"):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_library_module_guesses_a_bucket_count():
+    offenders = []
+    for path in sorted(PKG.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for line in _bucket_guesses(tree, reads_config=path == FLAGSHIP):
+            offenders.append(f"{path.relative_to(PKG.parent)}:{line}")
+    assert not offenders, "bucket count not derived from the cluster: " + \
+        ", ".join(offenders)
+
+
+def test_guard_detects_bucket_guesses():
+    for src in ("task_exchange(ds, 'k', fn, 64)",
+                "task_exchange(ds, 'k', fn, num_buckets=32)",
+                "keyed.task_exchange((l, r), 'k', fn, 8, batch_format='pyarrow')",
+                "n = DEFAULT_CONFIG.num_key_buckets",
+                "def f(num_buckets: int = DEFAULT_CONFIG.num_key_buckets): ..."):
+        assert _bucket_guesses(ast.parse(src)), src
+    for src in ("task_exchange(ds, 'k', fn)",
+                "task_exchange(ds, 'k', fn, num_buckets)",
+                "task_exchange(ds, 'k', fn, num_buckets=n, batch_format='pyarrow')",
+                "resumable_write(ds, out, 'k', num_buckets=64)",
+                "num_key_buckets: int = 64"):
+        assert not _bucket_guesses(ast.parse(src)), src
+    assert not _bucket_guesses(ast.parse("b = cfg.num_key_buckets"),
+                               reads_config=True)

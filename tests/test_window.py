@@ -454,6 +454,36 @@ class TestTwoLevelExchange:
                 for ds in (one, forty)]
         pd.testing.assert_frame_equal(*outs)
 
+    def test_default_bucket_count_is_one_per_cpu(self, ray_session):
+        """With no count, the exchange makes ``cluster_cpus()`` buckets
+        (4 in this session), and block K holds only bucket K's rows; an
+        explicit count still wins."""
+        import ray
+
+        from tscan_ray.ops.keyed import bucket_of, cluster_cpus, task_exchange
+
+        assert cluster_cpus() == 4
+        ds = rd.from_pandas(pd.DataFrame({"k": np.arange(300) % 23,
+                                          "v": np.arange(300)}))
+        out = task_exchange(ds, "k", lambda df: df)
+        blocks = [ray.get(ref) for bundle in out.iter_internal_ref_bundles()
+                  for ref in bundle.block_refs]
+        assert len(blocks) == 4
+        for b, block in enumerate(blocks):
+            keys = block.column("k").to_numpy()
+            assert len(keys) and (bucket_of(keys, 4) == b).all()
+        assert sum(block.num_rows for block in blocks) == 300
+        assert task_exchange(ds, "k", lambda df: df, 7).num_blocks() == 7
+
+    def test_cluster_cpus_is_at_least_one(self, ray_session, monkeypatch):
+        import ray
+
+        from tscan_ray.ops.keyed import cluster_cpus
+
+        assert cluster_cpus() >= 1
+        monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 0.0})
+        assert cluster_cpus() == 1
+
     def test_split_offsets_slice_out_each_bucket(self, ray_session):
         """A split returns ONE object: its rows sorted by bucket, as an
         Arrow IPC buffer, and the B+1 offsets; rows offsets[b]:offsets[b+1]

@@ -4,12 +4,22 @@ driver (sort columns by name, sort rows, compare values).
 
 Usage: python tools/check_queries.py [query ...]   (default: all with oracles)
 Env:   SF_DIR (default /root/testdata/sf0.01)
+
+Each query also prints its output's row count, column dtypes and a
+sha256 of its rows (columns sorted by name, rows sorted), and on a line
+of its own the wall seconds it took.  Two checkouts' outputs are then
+compared by diffing their runs without the ``wall_s`` lines::
+
+    python tools/check_queries.py $(python -c "import __ray_entry__ as e;
+        print(*e.queries())") | grep -v wall_s > run.txt
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import sys
+import time
 
 import duckdb
 import numpy as np
@@ -49,6 +59,23 @@ def norm(df: pd.DataFrame) -> pd.DataFrame:
             df[c] = df[c].astype("float64")
     df = df.sort_values(list(df.columns), kind="mergesort").reset_index(drop=True)
     return df
+
+
+def _cell(v) -> str:
+    if isinstance(v, np.ndarray):
+        v = v.tolist()
+    return repr(v)
+
+
+def digest(df: pd.DataFrame) -> str:
+    """Row count, ``col:dtype`` list and sha256 of the rows (columns by
+    name, each row as the reprs of its values, rows sorted)."""
+    cols = sorted(df.columns)
+    rows = sorted("\x1f".join(map(_cell, r))
+                  for r in df[cols].itertuples(index=False, name=None))
+    sha = hashlib.sha256("\x1e".join(rows).encode()).hexdigest()
+    dtypes = ",".join(f"{c}:{df[c].dtype}" for c in cols)
+    return f"rows={len(df)} sha256={sha} dtypes={dtypes}"
 
 
 def compare(name, eng: pd.DataFrame, ora: pd.DataFrame) -> str:
@@ -97,9 +124,12 @@ def main():
     fails = 0
     for name in names:
         try:
+            t0 = time.perf_counter()
             eng = to_pandas(qs[name](SF_DIR))
+            wall = time.perf_counter() - t0
+            print(f"{name:34s} {digest(eng)}")
+            print(f"{name:34s} wall_s={wall:.2f}")
             if name not in oracles:
-                print(f"{name:34s} rows-only: {len(eng)} rows")
                 continue
             ora = con.execute(oracles[name]).df()
             verdict = compare(name, eng, ora)

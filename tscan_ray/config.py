@@ -2,7 +2,7 @@
 
 Mirrors the reference's config surface (thresholds and feature knobs read
 from ``tscan.cfg``; see reference ``src/tscan.cxx:862-1119``) plus the
-knobs the Ray-Data point-in-time layer needs (bucket counts, session
+knobs the Ray-Data point-in-time layer needs (partition count, session
 gap).  Pure dataclass — no I/O, no Ray.  MTLD's 0.72 factor threshold is
 ``text.kernels.MTLD_THRESHOLD``.
 """
@@ -37,9 +37,9 @@ class EngineConfig:
     phash_bucket_bits: int = 16
     # sessionization gap (microseconds); 30 min default
     session_gap_us: int = 30 * 60 * 1_000_000
-    # number of hash buckets for keyed window/as-of shuffles; at scale
-    # >= cluster parallelism, with each bucket small enough for a
-    # worker heap
+    # the flagship's partition count: its timeline exchange's bucket
+    # count, which the resumable sink commits as its partition layout
+    # (library exchanges default to one bucket per CPU instead)
     num_key_buckets: int = 64
 
     # --- execution sizing ---------------------------------------------

@@ -54,7 +54,7 @@ def groupby_sum_2phase(
         return (df.groupby(keys, sort=False, dropna=False)
                 [sum_names + [count_alias]].sum().reset_index())
 
-    return task_exchange(partials, keys[0], fold, num_buckets=32)
+    return task_exchange(partials, keys[0], fold)
 
 
 def pivot_counts(
@@ -73,11 +73,8 @@ def pivot_counts(
     exchange, so a hot key ships one partial row per batch regardless of
     its row count.
     """
-    from tscan_ray.config import DEFAULT_CONFIG
     from tscan_ray.ops.keyed import task_exchange
 
-    if num_buckets is None:
-        num_buckets = DEFAULT_CONFIG.num_key_buckets
     cols = [f"n_{v}" for v in values]
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -118,11 +115,7 @@ def groupby_stats_robust(
     epoch-microsecond magnitudes would otherwise cancel catastrophically
     in float64.
     """
-    from tscan_ray.config import DEFAULT_CONFIG
     from tscan_ray.ops.keyed import task_exchange
-
-    if num_buckets is None:
-        num_buckets = DEFAULT_CONFIG.num_key_buckets
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         # dropna=False throughout: SQL GROUP BY keeps a NULL-key group

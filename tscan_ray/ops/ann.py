@@ -463,4 +463,4 @@ def cosine_neardup_pairs(
 
     from tscan_ray.ops.keyed import task_exchange
 
-    return task_exchange(bucketed, "lsh_bucket", verify, num_buckets=32)
+    return task_exchange(bucketed, "lsh_bucket", verify)

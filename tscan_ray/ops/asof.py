@@ -38,7 +38,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from tscan_ray.config import DEFAULT_CONFIG
 from tscan_ray.ops.keyed import task_exchange
 
 
@@ -147,7 +146,7 @@ def asof_join(
     right_suffix: str = "_r",
     how: str = "left",
     direction: str = "backward",
-    num_buckets: int = DEFAULT_CONFIG.num_key_buckets,
+    num_buckets: int | None = None,
 ):
     """As-of join two Datasets on (key, ts).
 
@@ -207,7 +206,7 @@ def interval_join(
     end_col: str,
     right_value_cols: list[str],
     how: str = "inner",
-    num_buckets: int = DEFAULT_CONFIG.num_key_buckets,
+    num_buckets: int | None = None,
 ):
     """Range (interval-containment) join: match each left point row
     (key, ts) to the right interval row of the same key with

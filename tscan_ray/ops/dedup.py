@@ -12,8 +12,11 @@ Scale design:
   bands per doc, no shingle/signature payload (the r01 design shipped
   the full shingle set into every band row, a bands× amplification of
   the pipeline's largest intermediate).  Candidate pairs come out of
-  the band-key exchange; exact-Jaccard verification recomputes shingles
-  for the CANDIDATE docs only (broadcast semi-filter + small shingle map).
+  the band-key exchange; exact-Jaccard verification is one more chain
+  of keyed exchanges that recomputes shingles for the CANDIDATE docs
+  only, with nothing collected on the driver or broadcast.
+* connected components: hash-min label propagation, one keyed exchange
+  per iteration.
 * SimHash: 64-bit fingerprint per doc from token hashes (near-dup via
   Hamming distance on prefix buckets).
 
@@ -56,12 +59,6 @@ def _md5_u64(strs: list[str]) -> np.ndarray:
         (int.from_bytes(hashlib.md5(s.encode()).digest()[:8], "big")
          for s in strs),
         np.uint64, len(strs))
-
-
-def _hash_tokens64(tokens: list[str]) -> np.ndarray:
-    """Deterministic 64-bit hashes of tokens (stable across processes
-    and reproducible in SQL)."""
-    return _md5_u64(tokens)
 
 
 def _minhash_params(num_perm: int) -> tuple[np.ndarray, np.ndarray]:
@@ -196,8 +193,7 @@ def dedup_exact(ds, text_col: str, id_col: str):
              pa.field("n", pa.int64())]))
 
     return task_exchange(ds.select_columns([id_col, text_col]), text_col,
-                         fold, DEFAULT_CONFIG.num_key_buckets,
-                         batch_format="pyarrow")
+                         fold, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +208,6 @@ def minhash_lsh_pairs(
     bands: int = DEFAULT_CONFIG.minhash_bands,
     shingle_k: int = DEFAULT_CONFIG.shingle_k,
     jaccard_threshold: float = 0.7,
-    broadcast_max_ids: int = 500_000,
     hash_impl: str = "md5",
 ):
     """Near-duplicate pairs via MinHash banding, verified with exact
@@ -222,24 +217,27 @@ def minhash_lsh_pairs(
     restricted to band collisions (standard LSH recall trade) and
     jaccard >= threshold (exact, over distinct shingle hashes).
 
-    Plan (the de-amplified r02 design):
+    Plan (keyed exchanges only: nothing is collected on the driver or
+    broadcast):
       1. one pass over the corpus emits (band_key:int64, id) rows —
          bands × 20 bytes per doc, no shingle/signature payload;
       2. an exchange on band_key, where equal-key runs yield candidate
          pairs, then one on id_a, which drops the repeats of a pair that
-         collides in several bands;
-      3. candidate ids (≪ corpus under any sane threshold — the LSH
-         assumption) are broadcast as a semi-filter; shingle sets are
-         recomputed for candidate docs ONLY and broadcast as a map;
-      4. a distributed map over the pair list computes exact Jaccard.
-    When the distinct-candidate-id count exceeds ``broadcast_max_ids``
-    (adversarial corpora: low threshold, boilerplate-heavy web text),
-    steps 3-4 cut over to :func:`_verify_pairs_exchange` — a doc-keyed
-    exchange join of the pair list against the corpus with NO driver
-    materialization and NO broadcast; same pair set bit-exactly.
+         collides in several bands and emits each pair's two endpoint
+         rows (id, id_a, id_b, slot), keyed on the corpus's id column;
+      3. a two-input exchange of the endpoint rows and the corpus on that
+         column: each bucket shingles only the docs an endpoint
+         references and emits one (id_a, id_b, slot, shingles) row per
+         endpoint; on a repeated doc id the lexicographically smallest
+         text wins;
+      4. an exchange on id_a, where each pair's two rows meet and exact
+         Jaccard is computed.
     Docs with zero shingles never enter the banding (a doc with no
-    tokens has no similarity evidence).
+    tokens has no similarity evidence).  ``id_col`` holds integer ids and
+    may not be named ``id_a`` or ``id_b``.
     """
+    if id_col in ("id_a", "id_b"):
+        raise ValueError(f"id_col {id_col!r} clashes with a pair column")
     sh_fn = _shingle_fn(hash_impl)
     a, b = _minhash_params(num_perm)
     docs = ds.select_columns([id_col, text_col])
@@ -308,177 +306,65 @@ def minhash_lsh_pairs(
         return pd.DataFrame({"id_a": pd.array(out_a, dtype="int64"),
                              "id_b": pd.array(out_b, dtype="int64")})
 
-    cand = task_exchange(banded, "band_key", bucket_candidates, num_buckets=64)
-    # a pair can collide in several bands -> one candidate row
-    cand = task_exchange(cand, "id_a", lambda df: df.drop_duplicates(),
-                         num_buckets=64)
-    empty = pa.table({"id_a": pa.array([], type=pa.int64()),
-                      "id_b": pa.array([], type=pa.int64()),
-                      "jaccard": pa.array([], type=pa.float64())})
-    n_pairs = cand.count()
-    if n_pairs == 0:
-        return rd.from_arrow(empty)
-    if 2 * n_pairs > broadcast_max_ids:
-        # adversarial candidate volume: no driver/broadcast involvement
-        return _verify_pairs_exchange(docs, cand, text_col, id_col,
-                                      shingle_k, jaccard_threshold,
-                                      sh_fn=sh_fn)
-    cand_df = cand.to_pandas()  # candidate pairs only — broadcast-small
-
-    # shingle sets for candidate docs only (semi-filter streams the
-    # corpus once; only matching docs' texts reach the compute)
-    from tscan_ray.ops.join import broadcast_join
-
-    ids = pd.unique(np.concatenate([cand_df["id_a"].to_numpy(),
-                                    cand_df["id_b"].to_numpy()]))
-    cand_docs = broadcast_join(
-        docs, pd.DataFrame({id_col: ids}), on=id_col, how="semi")
-
-    def to_shingle_rows(batch: pa.Table) -> pa.Table:
-        sh = [sh_fn(t or "", shingle_k).view(np.int64).tolist()
-              for t in batch.column(text_col).to_pylist()]
-        return pa.table({id_col: batch.column(id_col),
-                         "__sh__": pa.array(sh, type=pa.list_(pa.int64()))})
-
-    sh_df = cand_docs.map_batches(to_shingle_rows, batch_format="pyarrow",
-                                  zero_copy_batch=True).to_pandas()
-    shmap = {i: np.asarray(s, dtype=np.int64).view(np.uint64)
-             for i, s in zip(sh_df[id_col], sh_df["__sh__"])}
-    sh_ref = ray.put(shmap)
-
-    def verify(batch: pa.Table) -> pa.Table:
-        from tscan_ray.ops.rounding import round_half_away_scalar
-
-        m = ray.get(sh_ref)
-        out_a, out_b, out_j = [], [], []
-        for ia, ib in zip(batch.column("id_a").to_pylist(),
-                          batch.column("id_b").to_pylist()):
-            sa, sb = m.get(ia), m.get(ib)
-            if sa is None or sb is None:
-                continue
-            inter = np.intersect1d(sa, sb, assume_unique=True).size
-            union = sa.size + sb.size - inter
-            jac = inter / union if union else 0.0
-            if jac >= jaccard_threshold:
-                out_a.append(ia)
-                out_b.append(ib)
-                out_j.append(round_half_away_scalar(jac, 6))
-        return pa.table({"id_a": pa.array(out_a, type=pa.int64()),
-                         "id_b": pa.array(out_b, type=pa.int64()),
-                         "jaccard": pa.array(out_j, type=pa.float64())})
-
-    return rd.from_pandas(cand_df[["id_a", "id_b"]]).map_batches(
-        verify, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _verify_pairs_exchange(docs, cand, text_col: str, id_col: str,
-                           shingle_k: int, jaccard_threshold: float,
-                           sh_fn=shingles):
-    """Exact-Jaccard verification of candidate pairs with NO driver
-    materialization and NO broadcast — the scale path for adversarial
-    candidate volumes (``ops/dedup.py`` plan step 3-4 fallback).
-
-    Two keyed exchanges:
-      1. key = doc id, two inputs: pair-endpoint rows (2 per pair) and
-         corpus rows, each in its own schema; each bucket joins
-         endpoints to texts and computes shingles for the candidate
-         docs it holds ONLY (non-candidate texts are dropped inside the
-         bucket kernel) — emits one (pair_key, slot, shingles:bytes) row
-         per endpoint;
-      2. key = pair_key: buckets pair up slot-0/slot-1 shingle sets and
-         compute exact Jaccard.
-    Shingle sets travel as uint64 bytes; the pair key is a
-    ``\\x1f``-joined string (NUL-safe for pandas group hashing).  On a
-    repeated doc id the lexicographically smallest text wins
-    (deterministic; the broadcast path's dict keeps an arbitrary one).
-    """
-    num_buckets = DEFAULT_CONFIG.num_key_buckets
-
-    def pair_to_endpoints(batch: pa.Table) -> pa.Table:
-        a = batch.column("id_a").to_numpy(zero_copy_only=False)
-        b = batch.column("id_b").to_numpy(zero_copy_only=False)
-        key = np.concatenate([a, b])
-        slot = np.concatenate([np.zeros(len(a), np.int8),
-                               np.ones(len(b), np.int8)])
-        return pa.table({
-            "__k__": pa.array(key, type=pa.int64()),
-            "id_a": pa.array(np.concatenate([a, a]), type=pa.int64()),
-            "id_b": pa.array(np.concatenate([b, b]), type=pa.int64()),
-            "__slot__": pa.array(slot, type=pa.int8()),
+    def endpoints(df: pd.DataFrame) -> pd.DataFrame:
+        """Each distinct pair of one id_a bucket as its two endpoint rows,
+        slot 0 keyed on id_a and slot 1 on id_b."""
+        df = df.drop_duplicates()
+        ia, ib = df["id_a"].to_numpy(), df["id_b"].to_numpy()
+        return pd.DataFrame({
+            id_col: np.concatenate([ia, ib]),
+            "id_a": np.tile(ia, 2),
+            "id_b": np.tile(ib, 2),
+            "__slot__": np.repeat(np.array([0, 1], np.int8), len(ia)),
         })
-
-    def doc_to_rows(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "__k__": batch.column(id_col).cast(pa.int64()),
-            "__txt__": batch.column(text_col).cast(pa.string()),
-        })
-
-    endpoints = cand.map_batches(pair_to_endpoints, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-    texts = docs.map_batches(doc_to_rows, batch_format="pyarrow",
-                             zero_copy_batch=True)
 
     def join_shingles(e: pa.Table, d: pa.Table) -> pd.DataFrame:
-        out_schema = {"pair_key": pd.Series(dtype=object),
-                      "__slot__": pd.Series(dtype=np.int8),
-                      "id_a": pd.Series(dtype=np.int64),
-                      "id_b": pd.Series(dtype=np.int64),
-                      "__sh__": pd.Series(dtype=object)}
-        if not e.num_rows or not d.num_rows:
-            return pd.DataFrame(out_schema)
+        """One id bucket: each endpoint row with the shingle set of its
+        doc, as uint64 bytes; only referenced docs are shingled."""
+        if not e.num_rows:  # every endpoint's doc is in its bucket
+            return pd.DataFrame({"id_a": pd.Series(dtype=np.int64),
+                                 "id_b": pd.Series(dtype=np.int64),
+                                 "__slot__": pd.Series(dtype=np.int8),
+                                 "__sh__": pd.Series(dtype=object)})
         endp = e.to_pandas()
         txt = (d.to_pandas()
-               .sort_values(["__k__", "__txt__"], kind="mergesort")
-               .drop_duplicates("__k__", keep="first"))
-        # shingle only the docs an endpoint actually references
-        txt = txt[txt["__k__"].isin(endp["__k__"].unique())]
-        sh_by_key = {k: sh_fn(t or "", shingle_k).tobytes()
-                     for k, t in zip(txt["__k__"], txt["__txt__"])}
-        m = endp[endp["__k__"].isin(txt["__k__"])]
-        return pd.DataFrame({
-            "pair_key": (m["id_a"].astype(str) + "\x1f"
-                         + m["id_b"].astype(str)).to_numpy(object),
-            "__slot__": m["__slot__"].to_numpy(np.int8),
-            "id_a": m["id_a"].to_numpy(np.int64),
-            "id_b": m["id_b"].to_numpy(np.int64),
-            "__sh__": np.array([sh_by_key[k] for k in m["__k__"]],
-                               dtype=object),
-        })
+               .sort_values([id_col, text_col], kind="mergesort")
+               .drop_duplicates(id_col, keep="first"))
+        txt = txt[txt[id_col].isin(endp[id_col])]
+        sh = {k: sh_fn(t or "", shingle_k).tobytes()
+              for k, t in zip(txt[id_col], txt[text_col])}
+        return pd.DataFrame({"id_a": endp["id_a"], "id_b": endp["id_b"],
+                             "__slot__": endp["__slot__"],
+                             "__sh__": endp[id_col].map(sh)})
 
-    sides = task_exchange((endpoints, texts), "__k__", join_shingles,
-                          num_buckets, batch_format="pyarrow")
+    def verify(df: pd.DataFrame) -> pd.DataFrame:
+        """One id_a bucket: both endpoint rows of every pair, sorted into
+        slot-0/slot-1 neighbours; keep the pairs at the threshold."""
+        from tscan_ray.ops.rounding import round_half_away
 
-    def verify_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        from tscan_ray.ops.rounding import round_half_away_scalar
-
-        out = {"id_a": pd.Series(dtype=np.int64),
-               "id_b": pd.Series(dtype=np.int64),
-               "jaccard": pd.Series(dtype=np.float64)}
-        if df.empty:
-            return pd.DataFrame(out)
-        df = df.sort_values(["pair_key", "__slot__"], kind="mergesort")
-        keys = df["pair_key"].to_numpy()
-        both = (keys[:-1] == keys[1:]) if len(keys) > 1 else np.array([], bool)
-        idx = np.flatnonzero(both)
-        out_a, out_b, out_j = [], [], []
+        df = df.sort_values(["id_a", "id_b", "__slot__"], kind="mergesort")
         sh = df["__sh__"].to_numpy()
-        ia_all = df["id_a"].to_numpy()
-        ib_all = df["id_b"].to_numpy()
-        for i in idx:
-            sa = np.frombuffer(sh[i], dtype=np.uint64)
-            sb = np.frombuffer(sh[i + 1], dtype=np.uint64)
-            inter = np.intersect1d(sa, sb, assume_unique=True).size
-            union = sa.size + sb.size - inter
-            jac = inter / union if union else 0.0
-            if jac >= jaccard_threshold:
-                out_a.append(ia_all[i])
-                out_b.append(ib_all[i])
-                out_j.append(round_half_away_scalar(jac, 6))
-        return pd.DataFrame({"id_a": pd.array(out_a, dtype="int64"),
-                             "id_b": pd.array(out_b, dtype="int64"),
-                             "jaccard": pd.array(out_j, dtype="float64")})
+        jac = np.array([_jaccard(np.frombuffer(x, np.uint64),
+                                 np.frombuffer(y, np.uint64))
+                        for x, y in zip(sh[0::2], sh[1::2])], np.float64)
+        keep = jac >= jaccard_threshold
+        return pd.DataFrame({
+            "id_a": df["id_a"].to_numpy(np.int64)[0::2][keep],
+            "id_b": df["id_b"].to_numpy(np.int64)[0::2][keep],
+            "jaccard": round_half_away(jac[keep], 6)})
 
-    return task_exchange(sides, "pair_key", verify_bucket, num_buckets)
+    cand = task_exchange(banded, "band_key", bucket_candidates)
+    ends = task_exchange(cand, "id_a", endpoints)
+    sides = task_exchange((ends, docs), id_col, join_shingles,
+                          batch_format="pyarrow")
+    return task_exchange(sides, "id_a", verify)
+
+
+def _jaccard(sa: np.ndarray, sb: np.ndarray) -> float:
+    """Jaccard of two distinct-shingle arrays (0 when both are empty)."""
+    inter = np.intersect1d(sa, sb, assume_unique=True).size
+    union = sa.size + sb.size - inter
+    return inter / union if union else 0.0
 
 
 def ngram_jaccard(text_a: str, text_b: str, k: int = DEFAULT_CONFIG.shingle_k) -> float:
@@ -486,9 +372,7 @@ def ngram_jaccard(text_a: str, text_b: str, k: int = DEFAULT_CONFIG.shingle_k) -
     sa, sb = shingles(text_a, k), shingles(text_b, k)
     if sa.size == 0 and sb.size == 0:
         return 1.0
-    inter = np.intersect1d(sa, sb, assume_unique=True).size
-    union = sa.size + sb.size - inter
-    return inter / union if union else 0.0
+    return _jaccard(sa, sb)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +384,7 @@ def simhash64(text: str) -> int:
     toks = _TOKEN_RE.findall(text.lower())
     if not toks:
         return 0
-    h = _hash_tokens64(toks)
+    h = _md5_u64(toks)
     bits = ((h[:, None] >> np.arange(64, dtype=np.uint64)[None, :]) & np.uint64(1)).astype(np.int64)
     v = (2 * bits - 1).sum(axis=0)
     out = np.uint64(0)
@@ -524,11 +408,22 @@ def hamming64(a: int, b: int) -> int:
     return bin((a ^ b) & ((1 << 64) - 1)).count("1")
 
 
+_LABEL_ROW, _MESSAGE_ROW, _EDGE_ROW = 0, 1, 2  # a state row's ``kind``
+
+
 @ray.remote
 def _changed_labels(block: pa.Table) -> int:
     """How many rows of a :func:`connected_components` state block are
     labels that changed this iteration."""
     return pc.sum(block.column("changed")).as_py() or 0
+
+
+@ray.remote
+def _components(block: pa.Table) -> pa.Table:
+    """The (node, component) rows of a :func:`connected_components`
+    state block: its label rows."""
+    t = block.filter(pc.equal(block.column("kind"), _LABEL_ROW))
+    return pa.table({"node": t.column("node"), "component": t.column("value")})
 
 
 def connected_components(
@@ -560,9 +455,6 @@ def connected_components(
     cliques from LSH bands); the loop stops after an iteration that
     changes no label.
     """
-    if num_buckets is None:
-        num_buckets = DEFAULT_CONFIG.num_key_buckets
-    label_row, message_row, edge_row = 0, 1, 2  # the ``kind`` column
 
     def to_edges(batch: pa.Table) -> pa.Table:
         if src_col not in batch.column_names:  # a schema-less empty block
@@ -571,7 +463,7 @@ def connected_components(
         b = batch.column(dst_col).combine_chunks()
         n = 2 * len(a)
         return pa.table({"node": pa.concat_arrays([a, b]),
-                         "kind": np.full(n, edge_row, np.int8),
+                         "kind": np.full(n, _EDGE_ROW, np.int8),
                          "value": pa.concat_arrays([b, a]),
                          "changed": np.zeros(n, bool)})
 
@@ -583,13 +475,13 @@ def connected_components(
         label = nodes.copy()
         np.minimum.at(label, inv, value)
         changed = np.ones(len(nodes), bool)
-        old = kind == label_row
+        old = kind == _LABEL_ROW
         changed[inv[old]] = value[old] != label[inv[old]]
-        edge = kind == edge_row
+        edge = kind == _EDGE_ROW
         src, dst = node[edge], value[edge]
         return pa.table({
             "node": np.concatenate([nodes, dst, src]),
-            "kind": np.repeat(np.array([label_row, message_row, edge_row],
+            "kind": np.repeat(np.array([_LABEL_ROW, _MESSAGE_ROW, _EDGE_ROW],
                                        np.int8),
                               [len(nodes), len(src), len(src)]),
             "value": np.concatenate([label, label[inv[edge]], dst]),
@@ -609,10 +501,8 @@ def connected_components(
                             for ref in bundle.block_refs])):
             break
 
-    def components(t: pa.Table) -> pa.Table:
-        t = t.filter(t.column("kind").to_numpy() == label_row)
-        return pa.table({"node": t.column("node"),
-                         "component": t.column("value")})
-
-    return state.map_batches(components, batch_format="pyarrow",
-                             zero_copy_batch=True)
+    # one task per block, as for the count: a Ray Data map would skip
+    # the zero-row blocks and leave them without a schema
+    return rd.from_arrow_refs([_components.remote(ref)
+                               for bundle in state.iter_internal_ref_bundles()
+                               for ref in bundle.block_refs]).materialize()

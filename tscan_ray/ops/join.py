@@ -109,14 +109,11 @@ def exchange_join(
     """
     import numpy as np
 
-    from tscan_ray.config import DEFAULT_CONFIG
     from tscan_ray.ops.asof import nullable_int_dtype, side_frame
     from tscan_ray.ops.keyed import task_exchange
 
     if how not in ("inner", "left"):
         raise ValueError(how)
-    if num_buckets is None:
-        num_buckets = DEFAULT_CONFIG.num_key_buckets
     rcols = [on] + [c for c in right_cols if c != on]
 
     def merge(lt, rt) -> pd.DataFrame:

@@ -43,12 +43,17 @@ can't deliver:
 
 Scale notes
 -----------
-* B (``num_buckets``): sized so one bucket fits a worker heap
-  (``>= input_bytes / heap bytes per bucket``) and >= cluster
-  parallelism.  M, the split count, is the input's block count: the
-  driver holds one ref per split and each reduce fans in over all M,
-  so the upstream read's block size sets both (``sources/io.read_table``
-  reads one block per parquet file, at least one per CPU).
+* B (``num_buckets``): defaults to cluster parallelism, one bucket per
+  CPU of the Ray session (:func:`cluster_cpus`).  Each reduce decodes
+  every split, so the exchange costs M x B, and a bucket per CPU is the
+  smallest B that keeps every CPU busy.  Pass a larger count when one
+  bucket would not fit a worker heap (``>= input_bytes / heap bytes per
+  bucket``); the flagship passes its partition count, which the
+  resumable sink commits as its layout.  M, the split count, is the
+  input's block count: the driver holds one ref per split and each
+  reduce fans in over all M, so the upstream read's block size sets
+  both (``sources/io.read_table`` reads one block per parquet file, at
+  least one per CPU).
 * Skew: a bucket holds whole entities, so the flagship timeline puts a
   hot entity in one reduce task.  ``ops/window.rolling_time_agg(
   slice_us=)`` splits hot keys by time range with window-sized overlap
@@ -93,6 +98,14 @@ def _pandas_to_arrow(df) -> pa.Table:
                for dt in df.dtypes):
         t = t.replace_schema_metadata(None)
     return t
+
+
+def cluster_cpus() -> int:
+    """CPUs of the current Ray session, at least 1 (8 when none is
+    running): the exchange's default bucket count."""
+    if not ray.is_initialized():
+        return 8
+    return max(1, int(ray.cluster_resources().get("CPU", 8)))
 
 
 def key_hash(values: np.ndarray) -> np.ndarray:
@@ -208,7 +221,7 @@ def task_exchange(
     ds,
     key: str,
     fn: Callable,
-    num_buckets: int,
+    num_buckets: int | None = None,
     batch_format: str = "pandas",
     map_block: Callable | None = None,
 ):
@@ -216,7 +229,8 @@ def task_exchange(
     (two-stage parallel hash exchange).  Returns a materialized Dataset
     of the kernel outputs, one block per bucket in bucket order: block K
     holds only rows of bucket K (``bucket_of(key, num_buckets) == K``)
-    for a kernel that keeps its key column.  The resumable sink
+    for a kernel that keeps its key column.  ``num_buckets`` defaults
+    to :func:`cluster_cpus`.  The resumable sink
     (``state/manifest.resumable_write``) relies on that order: it
     commits block K as partition K.
 
@@ -249,6 +263,8 @@ def task_exchange(
     import ray.data as rd
 
     inputs = ds if isinstance(ds, tuple) else (ds,)
+    if num_buckets is None:
+        num_buckets = cluster_cpus()
     # Ray Data's logical operators and executors reference each other, so
     # the blocks a finished Dataset still points at are freed only by the
     # cyclic collector.  Collect before this exchange puts a full copy of

@@ -187,7 +187,6 @@ def word_frequency_topk(ds, text_col: str, k: int = 20):
     """Global token frequency top-k with per-batch partial aggregation:
     each batch emits (token, partial_count) rows — the keyed exchange on
     token sums the pre-reduced partials, then sort + limit."""
-    from tscan_ray.config import DEFAULT_CONFIG
     from tscan_ray.ops.keyed import task_exchange
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -212,9 +211,7 @@ def word_frequency_topk(ds, text_col: str, k: int = 20):
         return pa.table({"token": pa.array(n.index, pa.string()),
                          "n": pa.array(n.to_numpy(), pa.int64())})
 
-    totals = task_exchange(partials, "token", total,
-                           DEFAULT_CONFIG.num_key_buckets,
-                           batch_format="pyarrow")
+    totals = task_exchange(partials, "token", total, batch_format="pyarrow")
     return totals.sort(["n", "token"], descending=[True, False]).limit(k)
 
 

@@ -58,7 +58,8 @@ def timeline_frame(tbl: pa.Table, key: str, ts: str, order_col: str | None,
 
 
 def timeline(ds, key: str, ts: str, order_col: str | None,
-             reads: list[str], columns, num_buckets: int, map_block=None):
+             reads: list[str], columns, num_buckets: int | None,
+             map_block=None):
     """One keyed exchange whose kernel sorts each bucket once
     (:func:`timeline_frame`) and appends the columns ``columns(frame)``
     maps name -> values (a dict or DataFrame, in output order) to the
@@ -117,7 +118,7 @@ def lag_lead(
     cols: list[str],
     shifts: list[int],
     order_col: str | None = None,
-    num_buckets: int = DEFAULT_CONFIG.num_key_buckets,
+    num_buckets: int | None = None,
 ):
     """Shift ``cols`` by each k in ``shifts`` within the (key, ts) timeline.
 
@@ -135,7 +136,7 @@ def fill(
     cols: list[str],
     method: str = "ffill",
     order_col: str | None = None,
-    num_buckets: int = DEFAULT_CONFIG.num_key_buckets,
+    num_buckets: int | None = None,
     suffix: str = "_filled",
 ):
     """Forward-fill (from the entity's past only) or backward-fill nulls."""
@@ -152,7 +153,7 @@ def sessionize(
     ts: str,
     gap_us: int = DEFAULT_CONFIG.session_gap_us,
     order_col: str | None = None,
-    num_buckets: int = DEFAULT_CONFIG.num_key_buckets,
+    num_buckets: int | None = None,
     out_col: str = "session_id",
 ):
     """Gap-based sessionization: a new session starts when the gap to the
@@ -171,7 +172,7 @@ def session_stats(
     value_col: str | None = None,
     gap_us: int = DEFAULT_CONFIG.session_gap_us,
     order_col: str | None = None,
-    num_buckets: int = DEFAULT_CONFIG.num_key_buckets,
+    num_buckets: int | None = None,
 ):
     """Sessionize then aggregate per (key, session_id): event count, start,
     end, duration (sec), sum(value).  One shuffle total — the per-session
@@ -202,7 +203,7 @@ def tumbling_window(
     ts: str,
     value_col: str,
     width_us: int,
-    num_buckets: int = DEFAULT_CONFIG.num_key_buckets,
+    num_buckets: int | None = None,
 ):
     """Per-entity tumbling-window aggregate: count + sum + mean of
     ``value_col`` per (key, floor(ts/width)).  Pre-aggregates inside the
@@ -230,7 +231,7 @@ def rolling_text_diversity(
     text_col: str,
     window: int,
     order_col: str | None = None,
-    num_buckets: int = DEFAULT_CONFIG.num_key_buckets,
+    num_buckets: int | None = None,
 ):
     """Trailing-window TTR + MTLD over the entity's last ``window`` texts
     (including the current row; ts' <= ts, leakage-free).
@@ -291,7 +292,7 @@ def rolling_mean(
     cols: list[str],
     window: int,
     order_col: str | None = None,
-    num_buckets: int = DEFAULT_CONFIG.num_key_buckets,
+    num_buckets: int | None = None,
     min_periods: int = 1,
     suffix: str | None = None,
 ):
@@ -309,7 +310,7 @@ def expanding_agg(
     ts: str,
     value_col: str,
     order_col: str | None = None,
-    num_buckets: int = DEFAULT_CONFIG.num_key_buckets,
+    num_buckets: int | None = None,
 ):
     """Expanding (cumulative, point-in-time) aggregates over the entity
     timeline: running count / sum / mean / min / max of ``value_col``
@@ -353,7 +354,7 @@ def topn_per_key(
     by: list[str],
     ascending: list[bool] | None = None,
     rank_col: str = "rn",
-    num_buckets: int = DEFAULT_CONFIG.num_key_buckets,
+    num_buckets: int | None = None,
 ):
     """Per-key top-N: rank rows within each key by ``by`` (row_number
     semantics — ties broken by the full ``by`` list, so make its last
@@ -391,7 +392,7 @@ def sliding_window(
     value_col: str,
     width_us: int,
     hop_us: int,
-    num_buckets: int = DEFAULT_CONFIG.num_key_buckets,
+    num_buckets: int | None = None,
 ):
     """Per-entity sliding (hopping) window aggregate: count + sum of
     ``value_col`` per (key, window_start) where windows are
@@ -476,7 +477,7 @@ def rolling_time_agg(
     value_col: str,
     window_us: int,
     slice_us: int | None = None,
-    num_buckets: int = DEFAULT_CONFIG.num_key_buckets,
+    num_buckets: int | None = None,
 ):
     """Trailing TIME-window aggregate per entity: count / sum / mean of
     ``value_col`` over rows with ``ts' in [ts - window_us, ts]``
@@ -544,7 +545,7 @@ def expanding_znorm(
     ts: str,
     value_col: str,
     order_col: str | None = None,
-    num_buckets: int = DEFAULT_CONFIG.num_key_buckets,
+    num_buckets: int | None = None,
     ddof: int = 1,
 ):
     """Leakage-free feature scaling: z-score each value against the
@@ -586,7 +587,7 @@ def rolling_time_distinct(
     value_col: str,
     window_us: int,
     out_col: str = "rt_distinct",
-    num_buckets: int = DEFAULT_CONFIG.num_key_buckets,
+    num_buckets: int | None = None,
 ):
     """Trailing time-window DISTINCT count per entity: number of distinct
     ``value_col`` values among rows with ``ts' in [ts - window_us, ts]``

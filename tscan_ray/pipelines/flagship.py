@@ -35,9 +35,9 @@ from functools import partial
 
 from tscan_ray.config import DEFAULT_CONFIG, EngineConfig
 from tscan_ray.ops import window
+from tscan_ray.ops.keyed import cluster_cpus
 from tscan_ray.sources.images import IMAGE_SCHEMA, synth_images
 from tscan_ray.stages import map_slices
-from tscan_ray.stages.featurizer import cluster_cpus
 from tscan_ray.text import features
 
 # the features the timeline kernel reads (the exchange carries every column)
@@ -232,7 +232,7 @@ def flagship(
                 "keep_columns": KEEP_COLS,
                 "custom_groups": dict(features._CUSTOM_GROUPS)})
     return add_timeline_features(
-        images, cfg=cfg, num_buckets=num_buckets or cfg.num_key_buckets,
+        images, cfg=cfg, num_buckets=num_buckets,
         snapshot_every=snapshot_every, n_entities=n_entities,
         map_block=decode_featurize,
     )

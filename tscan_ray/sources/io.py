@@ -75,7 +75,7 @@ def read_table(path: str, columns: list[str] | None = None, **kwargs):
                 "input is a Lance dataset but pylance is not installed"
             )
         return rd.read_lance(path, columns=columns, **kwargs)
-    from tscan_ray.stages.featurizer import cluster_cpus
+    from tscan_ray.ops.keyed import cluster_cpus
 
     kwargs.setdefault("override_num_blocks",
                       max(_parquet_file_count(path), cluster_cpus()))

@@ -22,17 +22,11 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-import ray
-
 from tscan_ray.config import DEFAULT_CONFIG, EngineConfig
+from tscan_ray.ops.keyed import cluster_cpus
 from tscan_ray.stages.text_stage import (TextStage, feature_arrays,
                                          map_text_stage)
 from tscan_ray.text.features import emit_document
-
-
-def cluster_cpus() -> int:
-    """CPUs of the current Ray session (8 when none is running)."""
-    return int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
 
 
 def pool_size(cap: int = 32, headroom: int = 2) -> int:

@@ -163,7 +163,7 @@ def fit_bigram_lm(ds, text_col: str, min_count: int = 1) -> BigramLM:
             return df
         return df.groupby("gram", sort=False)["n"].sum().reset_index()
 
-    totals = task_exchange(partials, "gram", fold, num_buckets=32)
+    totals = task_exchange(partials, "gram", fold)
     if min_count > 1:
         totals = totals.filter(expr=f"n >= {min_count}")
     unigrams: dict[str, int] = {}

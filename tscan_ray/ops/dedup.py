@@ -455,7 +455,6 @@ def connected_components(
     cliques from LSH bands); the loop stops after an iteration that
     changes no label.
     """
-
     def to_edges(batch: pa.Table) -> pa.Table:
         if src_col not in batch.column_names:  # a schema-less empty block
             batch = pa.table({c: pa.array([], pa.int64()) for c in (src_col, dst_col)})

@@ -327,10 +327,10 @@ def minhash_lsh_pairs(
                                  "__slot__": pd.Series(dtype=np.int8),
                                  "__sh__": pd.Series(dtype=object)})
         endp = e.to_pandas()
-        txt = (d.to_pandas()
+        txt = d.to_pandas()
+        txt = (txt[txt[id_col].isin(endp[id_col])]
                .sort_values([id_col, text_col], kind="mergesort")
                .drop_duplicates(id_col, keep="first"))
-        txt = txt[txt[id_col].isin(endp[id_col])]
         sh = {k: sh_fn(t or "", shingle_k).tobytes()
               for k, t in zip(txt[id_col], txt[text_col])}
         return pd.DataFrame({"id_a": endp["id_a"], "id_b": endp["id_b"],

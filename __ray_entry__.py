@@ -258,8 +258,8 @@ def q_events_props_extract(sf_dir):
 
 def q_text_docfreq(sf_dir):
     """Per-token document frequency, top 20 (2-phase: per-doc distinct
-    inside the batch, then one vocabulary-sized groupby)."""
-    import ray.data.aggregate as agg
+    inside the batch, then one vocabulary-sized keyed exchange)."""
+    from tscan_ray.ops.agg import groupby_sum_2phase
 
     def per_doc_tokens(batch: pa.Table) -> pa.Table:
         toks: list[str] = []
@@ -269,7 +269,7 @@ def q_text_docfreq(sf_dir):
 
     tokens = _docs(sf_dir).select_columns(["text"]).map_batches(
         per_doc_tokens, batch_format="pyarrow", zero_copy_batch=True)
-    df = tokens.groupby("token").aggregate(agg.Count(alias_name="df"))
+    df = groupby_sum_2phase(tokens, ["token"], [], count_alias="df")
     return df.sort(["df", "token"], descending=[True, False]).limit(20)
 
 
@@ -566,8 +566,7 @@ def q_ann_topk(sf_dir):
 
 
 def q_agg_lineitem_pricing(sf_dir):
-    import ray.data as rd
-    import ray.data.aggregate as agg
+    from tscan_ray.ops.agg import groupby_sum_2phase
 
     li = _read_pq(
         f"{sf_dir}/lineitem.parquet",
@@ -583,12 +582,22 @@ def q_agg_lineitem_pricing(sf_dir):
         return batch.append_column("disc_price", rev)
 
     li = li.map_batches(revenue, batch_format="pyarrow", zero_copy_batch=True)
-    out = li.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        agg.Sum("l_quantity", alias_name="sum_qty"),
-        agg.Sum("disc_price", alias_name="sum_disc_price"),
-        agg.Mean("l_quantity", alias_name="avg_qty"),
-        agg.Count(alias_name="n"),
-    )
+
+    def mean(batch: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+
+        qty, n = batch.column("sum_l_quantity"), batch.column("n")
+        return pa.table({
+            "l_returnflag": batch.column("l_returnflag"),
+            "l_linestatus": batch.column("l_linestatus"),
+            "sum_qty": qty,
+            "sum_disc_price": batch.column("sum_disc_price"),
+            "avg_qty": pc.divide(pc.cast(qty, pa.float64()), n),
+            "n": n})
+
+    out = groupby_sum_2phase(li, ["l_returnflag", "l_linestatus"],
+                             ["l_quantity", "disc_price"]).map_batches(
+        mean, batch_format="pyarrow", zero_copy_batch=True)
     return _round_cols(out, ["sum_qty", "sum_disc_price", "avg_qty"], 4)
 
 

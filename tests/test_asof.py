@@ -182,6 +182,34 @@ class TestIntervalJoin:
         assert out["ivid"].dtype == np.int64  # dtype restored post-union
 
 
+    @pytest.mark.parametrize("how", ["inner", "left"])
+    def test_schema_less_right_side_warns_nothing(self, monkeypatch, how):
+        """The bucket kernel, run in this process on a zero-column right
+        table (a right side whose filter matched nothing), with pandas'
+        and NumPy's RuntimeWarnings raised as errors."""
+        import warnings
+
+        import pyarrow as pa
+
+        from tscan_ray.ops import asof
+
+        class Right:  # stands in for the right Dataset
+            def select_columns(self, cols):
+                return self
+
+        monkeypatch.setattr(
+            asof, "task_exchange",
+            lambda ds, key, fn, nb, batch_format: fn(ds[0], pa.table({})))
+        left = pa.table({"k": [1, 2], "ts": [5, 15], "pid": [0, 1]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = asof.interval_join(
+                left, Right(), key="k", ts="ts", start_col="lo",
+                end_col="hi", right_value_cols=["ivid"], how=how)
+        assert out["pid"].tolist() == ([] if how == "inner" else [0, 1])
+        assert out["ivid"].isna().all()
+
+
 class TestReviewRegressions:
     def test_dedup_uses_right_order_col_despite_collision(self):
         """When order_col exists on BOTH sides, latest-writer-wins must

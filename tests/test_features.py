@@ -5,6 +5,8 @@ from the cited formulas)."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tscan_ray.config import DEFAULT_CONFIG
 from tscan_ray.text.features import analyze_word, feature_names, featurize_document
@@ -403,6 +405,66 @@ class TestCompoundSplitter:
         assert split_compound("onsplitsbaar", v) is None
         # parts below min length never match
         assert split_compound("boek", v) is None
+
+    @staticmethod
+    def _unbounded(lemma, vocab, min_part=3, max_parts=4):
+        """The splitter with no bound on a part's length: every end ``j``
+        is tried down from the word's end."""
+        n = len(lemma)
+        if n < 2 * min_part:
+            return None
+
+        def rec(i, depth):
+            if i == n:
+                return []
+            if depth >= max_parts:
+                return None
+            res = None
+            for j in range(n, i + min_part - 1, -1):
+                part = lemma[i:j]
+                if part not in vocab:
+                    continue
+                if j == n:
+                    return [part]
+                for b in ("", "s", "en", "e"):
+                    k = j + len(b)
+                    if k < n and lemma[j:k] == b:
+                        rest = rec(k, depth + 1)
+                        if rest is not None and (res is None
+                                                 or len(rest) + 1 < len(res)):
+                            res = [part] + rest
+            return res
+
+        parts = rec(0, 0)
+        if not parts or len(parts) < 2:
+            return None
+        return parts[-1], "".join(parts[:-1]), len(parts)
+
+    @given(st.lists(st.tuples(st.integers(0, 7),
+                              st.sampled_from(["", "s", "en", "e", "x"])),
+                    min_size=1, max_size=5),
+           st.text("aeknst", max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_bounded_split_equals_unbounded(self, parts, tail):
+        from tscan_ray.text.kernels import split_compound
+
+        vocab = {"boek", "kast", "huis", "deur", "sleutel", "boekenkast",
+                 "ens", "huisdeursleutelbos"}
+        words = sorted(vocab)
+        lemma = "".join(words[i] + b for i, b in parts) + tail
+        assert split_compound(lemma, vocab) == self._unbounded(lemma, vocab)
+
+    def test_long_unseen_token_is_fast(self):
+        import time
+
+        from tscan_ray.text.kernels import split_compound
+        from tscan_ray.text.lexicons import default_lexicons
+
+        vocab = default_lexicons().noun_sem
+        split_compound("huisdeur", vocab)  # the vocabulary's bound, once
+        t0 = time.perf_counter()
+        assert split_compound("q" * 100_000, vocab) is None
+        assert time.perf_counter() - t0 < 0.05
 
     def test_unknown_noun_splits_and_inherits_head_sem(self):
         from tscan_ray.text.features import analyze_word

@@ -1,6 +1,7 @@
 """Every keyed aggregation in the library runs on the one keyed exchange,
-``ops/keyed.task_exchange``: no module under ``tscan_ray/`` imports
-``ray.data.aggregate`` or calls an ``.aggregate(...)`` method.  Two-input
+``ops/keyed.task_exchange``: no module under ``tscan_ray/``, nor the
+driver entry ``__ray_entry__.py``, imports ``ray.data.aggregate`` or
+calls an ``.aggregate(...)`` method.  Two-input
 operators pass ``task_exchange`` a tuple of inputs: no module under
 ``tscan_ray/ops/`` or ``tscan_ray/pipelines/`` calls ``.union(...)`` or
 spells a ``"__side__"`` tag column.  The exchange sizes itself to the
@@ -38,7 +39,7 @@ def _aggregate_uses(tree: ast.AST) -> list[int]:
 
 def test_no_library_module_aggregates_outside_the_exchange():
     offenders = []
-    for path in sorted(PKG.rglob("*.py")):
+    for path in [*sorted(PKG.rglob("*.py")), PKG.parent / "__ray_entry__.py"]:
         for line in _aggregate_uses(ast.parse(path.read_text(), str(path))):
             offenders.append(f"{path.relative_to(PKG.parent)}:{line}")
     assert not offenders, "aggregate outside task_exchange: " + \

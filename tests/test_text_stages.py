@@ -198,3 +198,60 @@ class TestAnnotatedStages:
             d1 = out[out.doc_id == 1].sort_values(
                 ["par_idx", "sent_idx", "word_idx"])
             assert d1["tag"].tolist()[:4] == ["LID", "N", "WW", "LET"]
+
+
+_ADVERSARIAL = ["", "de kat\x00slaapt .", "de 🐈 slaapt 😴 .", "x" * 5000]
+
+
+class TestDeclaredSchema:
+    """The document and paragraph stages give exactly
+    ``feature_schema(cfg)``, after their id and kept columns, on every
+    batch: the schema is declared, not read off the values."""
+
+    @staticmethod
+    def _stages(cfg):
+        from tscan_ray.stages.featurizer import CaptionFeaturizer
+        from tscan_ray.stages.paragraphs import ParagraphExploder
+        from tscan_ray.text.features import feature_schema
+
+        feats = list(feature_schema(cfg))
+        doc_id = pa.field("doc_id", pa.int64())
+        return [
+            (CaptionFeaturizer(text_column="text", keep_columns=["doc_id"],
+                               annotations_column="ann", cfg=cfg),
+             pa.schema([doc_id, *feats])),
+            (ParagraphExploder(text_column="text", id_columns=["doc_id"],
+                               annotations_column="ann", cfg=cfg),
+             pa.schema([doc_id, pa.field("par_idx", pa.int32()), *feats])),
+        ]
+
+    @staticmethod
+    def _batches():
+        ids = list(_DOCS)
+        annotated = pa.table({
+            "doc_id": pa.array(ids, pa.int64()),
+            "text": [_text(_DOCS[i][0]) for i in ids],
+            "ann": [_ann_json(i) for i in ids]})
+        heuristic = pa.table({
+            "doc_id": pa.array([_NULL_DOC[0]], pa.int64()),
+            "text": [_NULL_DOC[1]], "ann": pa.array([None], pa.string())})
+        yield "empty", annotated.slice(0, 0)
+        yield "annotated", annotated
+        yield "heuristic", heuristic
+        for i, text in enumerate(_ADVERSARIAL):
+            yield f"adversarial{i}", pa.table({
+                "doc_id": pa.array([i], pa.int64()), "text": [text],
+                "ann": pa.array([None], pa.string())})
+
+    @pytest.mark.parametrize("skip", [(), ("surprisal", "lint")])
+    def test_every_batch_gets_the_declared_schema(self, skip):
+        from tscan_ray.config import EngineConfig
+
+        cfg = EngineConfig(skip_groups=skip)
+        for stage, want in self._stages(cfg):
+            for name, batch in self._batches():
+                got = stage(batch).schema
+                assert got.equals(want), (type(stage).__name__, name)
+                assert not set(skip) & {
+                    (f.metadata or {}).get(b"group", b"").decode()
+                    for f in want}

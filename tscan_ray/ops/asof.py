@@ -242,9 +242,13 @@ def interval_join(
         cand = _asof_indices(
             ldf[key].to_numpy(), ldf[ts].to_numpy(),
             rdf[key].to_numpy(), rdf[start_col].to_numpy(), "backward", None)
-        end_vals = _gather(rdf[end_col], cand, ldf.index)
-        matched = ((end_vals.notna() & (ldf[ts] <= end_vals))
-                   .fillna(False).to_numpy(dtype=bool))
+        # the inclusive end bound, compared on typed values: a schema-less
+        # right side's object-dtype null column is never compared with ts
+        ends = rdf[end_col]
+        hit = cand >= 0
+        hit[hit] = ends.notna().to_numpy()[cand[hit]]
+        matched = np.zeros(len(ldf), dtype=bool)
+        matched[hit] = ldf[ts].to_numpy()[hit] <= ends.to_numpy()[cand[hit]]
         if how == "inner":
             ldf = ldf[matched].reset_index(drop=True)
             ridx = cand[matched]

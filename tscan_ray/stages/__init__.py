@@ -26,8 +26,7 @@ def map_slices(block, *, stage, kwargs, batch_size):
 
     return pa.concat_tables(
         [_run_stage(block.slice(i, batch_size), stage=stage, kwargs=kwargs)
-         for i in range(0, max(block.num_rows, 1), batch_size)],
-        promote_options="default")
+         for i in range(0, max(block.num_rows, 1), batch_size)])
 
 
 def map_stage(ds, stage_cls, batch_size, batch_format="pyarrow", **kwargs):

@@ -24,9 +24,8 @@ import pyarrow as pa
 
 from tscan_ray.config import DEFAULT_CONFIG, EngineConfig
 from tscan_ray.ops.keyed import cluster_cpus
-from tscan_ray.stages.text_stage import (TextStage, feature_arrays,
-                                         map_text_stage)
-from tscan_ray.text.features import emit_document
+from tscan_ray.stages.text_stage import TextStage, map_text_stage
+from tscan_ray.text.features import emit_document, feature_schema
 
 
 def pool_size(cap: int = 32, headroom: int = 2) -> int:
@@ -43,17 +42,16 @@ class CaptionFeaturizer(TextStage):
                  keep_columns: list[str] | None = None, **stage_opts):
         super().__init__(text_column, **stage_opts)
         self.keep_columns = keep_columns
-        self.names, self.int_names = self.feature_schema()
+        self.schema = feature_schema(self.cfg)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         rows = [emit_document(folds, self.cfg)
                 for folds in self.documents(batch)]
         if self.keep_columns is not None:
             batch = batch.select(self.keep_columns)
-        # one arrow table construction (not 400 append_column copies)
-        cols = {c: batch.column(c) for c in batch.column_names}
-        cols.update(feature_arrays(rows, self.names, self.int_names))
-        return pa.table(cols)
+        return self.table(
+            {c: batch.column(c) for c in batch.column_names}, self.schema,
+            {n: [r[n] for r in rows] for n in self.schema.names})
 
 
 def featurize(

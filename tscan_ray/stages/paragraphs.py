@@ -17,9 +17,9 @@ from __future__ import annotations
 import pyarrow as pa
 
 from tscan_ray.config import DEFAULT_CONFIG, EngineConfig
-from tscan_ray.stages.text_stage import (TextStage, feature_arrays,
-                                         map_text_stage, repeat_ids)
-from tscan_ray.text.features import emit_paragraphs
+from tscan_ray.stages.text_stage import (TextStage, map_text_stage,
+                                         repeat_ids)
+from tscan_ray.text.features import emit_paragraphs, feature_schema
 
 
 class ParagraphExploder(TextStage):
@@ -29,7 +29,8 @@ class ParagraphExploder(TextStage):
                  **stage_opts):
         super().__init__(text_column, **stage_opts)
         self.id_columns = id_columns
-        self.names, self.int_names = self.feature_schema()
+        self.schema = pa.schema([("par_idx", pa.int32()),
+                                 *feature_schema(self.cfg)])
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         doc_rows: list[int] = []
@@ -40,10 +41,9 @@ class ParagraphExploder(TextStage):
                 doc_rows.append(row)
                 par_idx.append(pi)
                 rows.append(vec)
-        cols = repeat_ids(batch, self.id_columns, doc_rows)
-        cols["par_idx"] = pa.array(par_idx, type=pa.int32())
-        cols.update(feature_arrays(rows, self.names, self.int_names))
-        return pa.table(cols)
+        cols = {n: [r[n] for r in rows] for n in self.schema.names[1:]}
+        return self.table(repeat_ids(batch, self.id_columns, doc_rows),
+                          self.schema, {"par_idx": par_idx, **cols})
 
 
 def explode_paragraphs(

@@ -36,6 +36,11 @@ _SENT_FIELDS = [
     ("perplexity_fwd", pa.float64(),
      lambda p, lm: lm.get("perplexity", math.nan)),
 ]
+# the sentence table's declared schema, after the id columns
+_SCHEMA = pa.schema(
+    [(c, pa.int32()) for c in ("par_idx", "sent_idx", "n_tokens",
+                               *_COUNTER_COLS)]
+    + [(name, typ) for name, typ, _ in _SENT_FIELDS])
 
 
 class SentenceExploder(TextStage):
@@ -46,9 +51,7 @@ class SentenceExploder(TextStage):
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         doc_rows: list[int] = []
-        out: dict[str, list] = {c: [] for c in ("par_idx", "sent_idx",
-                                                "n_tokens", *_COUNTER_COLS)}
-        out.update({name: [] for name, _, _ in _SENT_FIELDS})
+        out: dict[str, list] = {c: [] for c in _SCHEMA.names}
         for row, folds_by_par in enumerate(self.documents(batch)):
             for pi, folds in enumerate(folds_by_par):
                 for si, f in enumerate(folds):
@@ -61,12 +64,8 @@ class SentenceExploder(TextStage):
                         out[c].append(int(f.c[c]))
                     for name, _, fn in _SENT_FIELDS:
                         out[name].append(fn(f.parses[0], fwd))
-        cols = repeat_ids(batch, self.id_columns, doc_rows)
-        for c in ("par_idx", "sent_idx", "n_tokens", *_COUNTER_COLS):
-            cols[c] = pa.array(out[c], type=pa.int32())
-        for name, typ, _ in _SENT_FIELDS:
-            cols[name] = pa.array(out[name], type=typ)
-        return pa.table(cols)
+        return self.table(repeat_ids(batch, self.id_columns, doc_rows),
+                          _SCHEMA, out)
 
 
 def explode_sentences(

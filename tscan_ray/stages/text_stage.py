@@ -11,8 +11,10 @@ docStats (src/tscan.cxx:3092-3127, src/docstats.cxx:24-94).
 lexicons, LM, the custom feature groups registered where the pipeline
 is built) and the per-row walk: decode the row's annotation column, if
 any, and yield the row's sentence folds grouped by paragraph.  A
-subclass keeps only its row emit.  :func:`map_text_stage` runs a stage
-as Ray Data tasks (``stages.map_stage``) for the stage wrappers.
+subclass keeps only its row emit and its declared output schema, from
+which :meth:`TextStage.table` types every batch's columns.
+:func:`map_text_stage` runs a stage as Ray Data tasks
+(``stages.map_stage``) for the stage wrappers.
 
 ``annotations_column``: JSON per row (``sources/folia.annotations_to_json``)
 carrying precomputed Frog/Alpino annotations — the reference's
@@ -83,33 +85,35 @@ class TextStage:
             yield analyze_document(text or "", self.lex, self.cfg, self.lm,
                                    annotations, tree_lookup)
 
-    def feature_schema(self) -> tuple[list[str], set[str]]:
-        """Output feature names, and the int-typed ones among them —
-        probed on an empty document so an EMPTY batch gets the same
-        dtypes as non-empty blocks (the per-batch sniff in
-        :func:`feature_arrays` has no values to look at there)."""
-        probe = features.featurize_document("", self.lex, self.cfg,
-                                            lm=self.lm)
-        names = features.feature_names(self.cfg)
-        return names, {n for n in names if isinstance(probe[n], int)}
+    @staticmethod
+    def table(head: dict, schema: pa.Schema, columns) -> pa.Table:
+        """The stage's output table: ``head``'s Arrow columns (ids or
+        kept input columns) as they are, then one column per ``schema``
+        field, built from the value list ``columns[field.name]`` in the
+        type the field declares.  An empty batch and a full one thus get
+        one schema.  A value that does not fit its field raises
+        ``ValueError`` naming the column and, where the field records
+        one, its feature group."""
+        cols = dict(head)
+        for f in schema:
+            cols[f.name] = _typed(columns[f.name], f)
+        return pa.table(cols)
 
 
-def feature_arrays(rows: list[dict], names: list[str],
-                   int_names: set[str]) -> dict[str, pa.Array]:
-    """Feature dicts -> one Arrow column per feature: ints stay int64,
-    anything that can be NaN becomes float64."""
-    cols = {}
-    for n in names:
-        vals = [r[n] for r in rows]
-        is_int = (all(isinstance(v, int) for v in vals) if vals
-                  else n in int_names)
-        if is_int:
-            cols[n] = pa.array(np.asarray(vals, dtype=np.int64),
-                               type=pa.int64())
-        else:
-            cols[n] = pa.array(np.asarray(vals, dtype=np.float64),
-                               type=pa.float64())
-    return cols
+def _typed(vals: list, f: pa.Field) -> pa.Array:
+    try:
+        if pa.types.is_integer(f.type):
+            # pa.array would truncate a float to an int without a word
+            arr = np.asarray(vals) if vals else np.zeros(0, np.int64)
+            if arr.dtype.kind not in "iub":
+                raise TypeError(f"got {arr.dtype} values")
+            return pa.array(arr.astype(np.int64, copy=False), type=f.type)
+        return pa.array(vals, type=f.type)
+    except (TypeError, ValueError, pa.ArrowException) as e:
+        group = (f.metadata or {}).get(b"group")
+        where = f" of feature group {group.decode()!r}" if group else ""
+        raise ValueError(f"column {f.name!r}{where} is declared {f.type}: "
+                         f"{e}") from e
 
 
 def repeat_ids(batch: pa.Table, id_columns: list[str],

@@ -67,6 +67,11 @@ _DISPLAY_FIELDS = [
     ("connective_nl", lambda a: _d.conn_nl(a.conn_type)),
     ("situation_nl", lambda a: _d.sit_nl(a.sit_type)),
 ]
+# the word table's declared schema, after the id columns
+_SCHEMA = pa.schema(
+    [(c, pa.int32()) for c in ("par_idx", "sent_idx", "word_idx")]
+    + [(name, typ) for name, typ, _ in _WORD_FIELDS]
+    + [(name, pa.string()) for name, _ in _DISPLAY_FIELDS])
 
 
 class WordExploder(TextStage):
@@ -86,9 +91,7 @@ class WordExploder(TextStage):
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         doc_rows: list[int] = []
-        out: dict[str, list] = {"par_idx": [], "sent_idx": [], "word_idx": []}
-        out.update({name: [] for name, _, _ in _WORD_FIELDS})
-        out.update({name: [] for name, _ in _DISPLAY_FIELDS})
+        out: dict[str, list] = {c: [] for c in _SCHEMA.names}
         for row, folds_by_par in enumerate(self.documents(batch)):
             for pi, folds in enumerate(folds_by_par):
                 for si, fold in enumerate(folds):
@@ -101,14 +104,8 @@ class WordExploder(TextStage):
                             out[name].append(getattr(ann, attr))
                         for name, fn in _DISPLAY_FIELDS:
                             out[name].append(fn(ann))
-        cols = repeat_ids(batch, self.id_columns, doc_rows)
-        for name in ("par_idx", "sent_idx", "word_idx"):
-            cols[name] = pa.array(out[name], type=pa.int32())
-        for name, typ, _ in _WORD_FIELDS:
-            cols[name] = pa.array(out[name], type=typ)
-        for name, _ in _DISPLAY_FIELDS:
-            cols[name] = pa.array(out[name], type=pa.string())
-        return pa.table(cols)
+        return self.table(repeat_ids(batch, self.id_columns, doc_rows),
+                          _SCHEMA, out)
 
 
 def explode_words(

@@ -38,6 +38,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
+import pyarrow as pa
+
 from tscan_ray.config import DEFAULT_CONFIG, EngineConfig
 from tscan_ray.text import depparse, kernels
 from tscan_ray.text.depparse import DD_TYPES, SentParse
@@ -1918,16 +1920,17 @@ def featurize_document(
     lexicon; pass a corpus-fitted BigramLM for real context sensitivity).
     ``annotations``/``tree_lookup``: precomputed Frog/Alpino output, as
     in :func:`analyze_document`; sentences without a tree fall back to
-    the reduced parser.  Returns a flat dict (stable key set = the
-    output schema).
+    the reduced parser.  Returns a flat dict whose keys are
+    :func:`feature_names`, in order.
     """
     lex = lex or default_lexicons()
     if lm is None:
         from tscan_ray.text.surprisal import default_lm
 
         lm = default_lm()
-    return emit_document(
+    out = emit_document(
         analyze_document(text, lex, cfg, lm, annotations, tree_lookup), cfg)
+    return {k: out[k] for k in feature_names(cfg)}
 
 
 class _PlainOut(dict):
@@ -1976,66 +1979,80 @@ def register_feature_group(name: str, fn) -> None:
     """Register a custom feature group.  ``fn(doc: Fold, out: dict,
     cfg: EngineConfig) -> dict[str, float]`` returns the group's columns
     (it may read — but not overwrite — built-in columns via ``out``).
-    The group participates in ``feature_groups()`` / ``feature_names()``
-    and honors ``cfg.skip_groups`` like any built-in section."""
-    if name in _builtin_group_names() or name in _CUSTOM_GROUPS:
+    The group participates in ``feature_schema()`` and honors
+    ``cfg.skip_groups`` like any built-in section; each column's Arrow
+    type is the type it takes on the dummy document."""
+    if name in _CUSTOM_GROUPS or name in feature_groups(_NO_SKIP):
         raise ValueError(f"feature group {name!r} already exists")
     _CUSTOM_GROUPS[name] = fn
-    _GROUPS_CACHE.clear()
+    _SCHEMAS.clear()
 
 
 def unregister_feature_group(name: str) -> None:
     _CUSTOM_GROUPS.pop(name, None)
-    _GROUPS_CACHE.clear()
+    _SCHEMAS.clear()
 
 
 def set_custom_groups(groups: dict) -> None:
     """Make this process's registry exactly ``groups``, a snapshot of the
     registry where a pipeline was built.  A worker runs job after job, so
-    a group one job shipped must not outlive it there.  The column-group
-    cache is dropped only when the group names change: every task
-    unpickles fresh functions, which never compare equal."""
-    if list(groups) != list(_CUSTOM_GROUPS):
-        _GROUPS_CACHE.clear()
+    a group one job shipped must not outlive it there.  The recorded
+    schemas are dropped only when a group's name or code changes: every
+    task unpickles fresh functions, which never compare equal, though
+    their code objects do."""
+    if _registry_state(groups) != _registry_state(_CUSTOM_GROUPS):
+        _SCHEMAS.clear()
     _CUSTOM_GROUPS.clear()
     _CUSTOM_GROUPS.update(groups)
 
 
-_GROUPS_CACHE: dict[str, dict[str, list[str]]] = {}
+def _registry_state(groups: dict) -> list:
+    return [(name, getattr(fn, "__code__", fn)) for name, fn in groups.items()]
 
 
-def _builtin_group_names() -> set[str]:
-    return set(feature_groups(_builtin_only=True))
+_NO_SKIP = EngineConfig(skip_groups=())
+# cfg.skip_groups -> the document vector's schema, for the registry as it
+# stands; cleared when the registry changes
+_SCHEMAS: dict[tuple, pa.Schema] = {}
 
 
-def feature_groups(cfg: EngineConfig = DEFAULT_CONFIG,
-                   _builtin_only: bool = False) -> dict[str, list[str]]:
-    """Group name -> ordered column names, recorded from one emit of a
-    dummy document (cheap; cached per custom-registry state).  Built-in
-    groups follow the reference's CSV section order."""
-    key = "builtin" if _builtin_only else "all"
-    if key not in _GROUPS_CACHE:
-        base = EngineConfig(skip_groups=())
-        rec = _featurize_recorded("x .", base, skip_custom=_builtin_only)
-        _GROUPS_CACHE[key] = dict(rec.sections)
-    groups = _GROUPS_CACHE[key]
-    if cfg.skip_groups:
-        return {g: cols for g, cols in groups.items()
-                if g not in set(cfg.skip_groups)}
+def feature_schema(cfg: EngineConfig = DEFAULT_CONFIG) -> pa.Schema:
+    """The document vector, recorded once per process from one emit of a
+    dummy document: each column's name and order, its group (the field
+    metadata's ``group``) and its Arrow type, int64 where the emitted
+    value is an ``int`` and float64 otherwise.  Built-in groups follow
+    the reference's CSV section order; ``cfg.skip_groups`` are left out.
+    Every document and paragraph table has exactly these columns."""
+    key = tuple(cfg.skip_groups)
+    if key not in _SCHEMAS:
+        from tscan_ray.text.surprisal import default_lm
+
+        folds = analyze_document("x .", default_lexicons(), cfg,
+                                 default_lm())
+        out = emit_document(folds, cfg, out_cls=_SectionDict)
+        _SCHEMAS[key] = pa.schema([
+            pa.field(k, pa.int64() if isinstance(out[k], int)
+                     else pa.float64(), metadata={"group": g})
+            for g, cols in out.sections.items() if g not in key
+            for k in cols])
+    return _SCHEMAS[key]
+
+
+def feature_groups(cfg: EngineConfig = DEFAULT_CONFIG) -> dict[str, list[str]]:
+    """Group name -> ordered column names, from :func:`feature_schema`."""
+    groups: dict[str, list[str]] = {}
+    for f in feature_schema(cfg):
+        groups.setdefault(f.metadata[b"group"].decode(), []).append(f.name)
     return groups
 
 
-def _featurize_recorded(text: str, cfg: EngineConfig,
-                        skip_custom: bool = False) -> "_SectionDict":
-    from tscan_ray.text.surprisal import default_lm
-
-    folds = analyze_document(text, default_lexicons(), cfg, default_lm())
-    return emit_document(folds, cfg, out_cls=_SectionDict,
-                         skip_custom=skip_custom)
+def feature_names(cfg: EngineConfig = DEFAULT_CONFIG) -> list[str]:
+    """The document vector's column names, from :func:`feature_schema`."""
+    return feature_schema(cfg).names
 
 
 def _emit_doc(doc: Fold, par_cnt: int, cfg: EngineConfig,
-              out_cls=_PlainOut, skip_custom: bool = False):
+              out_cls=_PlainOut):
     """The full structStats CSV emit (src/structstats.cxx:85-1049), in the
     reference's section order and with the reference's column names and
     formulas.  Raw counters are appended after the derived columns (the
@@ -2591,22 +2608,15 @@ def _emit_doc(doc: Fold, par_cnt: int, cfg: EngineConfig,
     for k, v in mt.items():  # full MTLD family set (engine extra)
         out.setdefault(k, v)
 
-    if not skip_custom:
-        skip = set(cfg.skip_groups)
-        for gname, fn in _CUSTOM_GROUPS.items():
-            if gname in skip:
-                continue
-            out.sec(gname)
-            for k, v in fn(doc, out, cfg).items():
-                if k in out:
-                    raise ValueError(
-                        f"feature group {gname!r} overwrites column {k!r}")
-                out[k] = v
-    if cfg.skip_groups:
-        gmap = feature_groups()  # full map (built-in + custom)
-        for g in cfg.skip_groups:
-            for k in gmap.get(g, ()):
-                out.pop(k, None)
+    for gname, fn in _CUSTOM_GROUPS.items():
+        if gname in cfg.skip_groups:
+            continue
+        out.sec(gname)
+        for k, v in fn(doc, out, cfg).items():
+            if k in out:
+                raise ValueError(
+                    f"feature group {gname!r} overwrites column {k!r}")
+            out[k] = v
     return out
 
 
@@ -2625,11 +2635,7 @@ def featurize_paragraphs(
         from tscan_ray.text.surprisal import default_lm
 
         lm = default_lm()
-    return emit_paragraphs(
-        analyze_document(text, lex, cfg, lm, annotations, tree_lookup), cfg)
+    names = feature_names(cfg)
+    return [{k: out[k] for k in names} for out in emit_paragraphs(
+        analyze_document(text, lex, cfg, lm, annotations, tree_lookup), cfg)]
 
-
-def feature_names(cfg: EngineConfig = DEFAULT_CONFIG) -> list[str]:
-    """Stable output schema (computed once from an empty document).
-    Honors ``cfg.skip_groups`` and registered custom feature groups."""
-    return list(featurize_document("x .", cfg=cfg).keys())

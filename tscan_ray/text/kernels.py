@@ -323,6 +323,20 @@ def lint_scores(
     return s1, level(s1), s2, level(s2)
 
 
+# id(vocab) -> (vocab, its longest entry's length); a lexicon is not
+# changed after it is loaded, and the entry keeps its id from reuse
+_LONGEST: dict[int, tuple[object, int]] = {}
+
+
+def _longest_entry(vocab) -> int:
+    hit = _LONGEST.get(id(vocab))
+    if hit is None:
+        if len(_LONGEST) >= 16:  # a process sees a few lexicons at most
+            _LONGEST.clear()
+        hit = _LONGEST[id(vocab)] = (vocab, max(map(len, vocab), default=0))
+    return hit[1]
+
+
 def split_compound(
     lemma: str,
     vocab,
@@ -346,6 +360,9 @@ def split_compound(
     n = len(lemma)
     if n < 2 * min_part:
         return None
+    # no part is longer than the longest vocab entry: without this bound
+    # an unseen 100k-character token costs seconds in one row
+    longest = _longest_entry(vocab)
 
     def rec(i: int, depth: int):
         if i == n:
@@ -353,7 +370,7 @@ def split_compound(
         if depth >= max_parts:
             return None
         res = None
-        for j in range(n, i + min_part - 1, -1):
+        for j in range(min(n, i + longest), i + min_part - 1, -1):
             part = lemma[i:j]
             if part not in vocab:
                 continue

@@ -49,9 +49,8 @@ class CaptionFeaturizer(TextStage):
                 for folds in self.documents(batch)]
         if self.keep_columns is not None:
             batch = batch.select(self.keep_columns)
-        return self.table(
-            {c: batch.column(c) for c in batch.column_names}, self.schema,
-            {n: [r[n] for r in rows] for n in self.schema.names})
+        return self.table(batch, self.schema,
+                          {n: [r[n] for r in rows] for n in self.schema.names})
 
 
 def featurize(
@@ -98,23 +97,15 @@ def with_custom_wordlist(wordlist, classification: str = "custom"):
     """
     import copy
 
-    from tscan_ray.text.lexicons import default_lexicons
-
-    import itertools
-
     from tscan_ray.text import lexicons as _lexmod
 
-    lex = copy.deepcopy(default_lexicons())
+    lex = copy.deepcopy(_lexmod.default_lexicons())
     # a deepcopy keeps the source bundle's memo token; issue a fresh one
     # so the word-analysis memo cannot serve stale entries
     lex.memo_token = next(_lexmod._GEN_COUNTER)
     if hasattr(wordlist, "column_names"):  # pyarrow Table
-        words = wordlist.column("word").to_pylist()
-        labels = (wordlist.column("classification").to_pylist()
-                  if "classification" in wordlist.column_names
-                  else [classification] * len(words))
-        mapping = dict(zip(words, labels))
-    elif hasattr(wordlist, "columns"):  # pandas DataFrame
+        wordlist = wordlist.to_pandas()
+    if hasattr(wordlist, "columns"):  # pandas DataFrame
         words = wordlist["word"].tolist()
         labels = (wordlist["classification"].tolist()
                   if "classification" in wordlist.columns

@@ -34,16 +34,15 @@ class ParagraphExploder(TextStage):
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         doc_rows: list[int] = []
-        par_idx: list[int] = []
         rows: list[dict] = []
         for row, folds_by_par in enumerate(self.documents(batch)):
             for pi, vec in enumerate(emit_paragraphs(folds_by_par, self.cfg)):
+                vec["par_idx"] = pi
                 doc_rows.append(row)
-                par_idx.append(pi)
                 rows.append(vec)
-        cols = {n: [r[n] for r in rows] for n in self.schema.names[1:]}
         return self.table(repeat_ids(batch, self.id_columns, doc_rows),
-                          self.schema, {"par_idx": par_idx, **cols})
+                          self.schema,
+                          {n: [r[n] for r in rows] for n in self.schema.names})
 
 
 def explode_paragraphs(

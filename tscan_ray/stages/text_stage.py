@@ -11,10 +11,9 @@ docStats (src/tscan.cxx:3092-3127, src/docstats.cxx:24-94).
 lexicons, LM, the custom feature groups registered where the pipeline
 is built) and the per-row walk: decode the row's annotation column, if
 any, and yield the row's sentence folds grouped by paragraph.  A
-subclass keeps only its row emit and its declared output schema, from
-which :meth:`TextStage.table` types every batch's columns.
-:func:`map_text_stage` runs a stage as Ray Data tasks
-(``stages.map_stage``) for the stage wrappers.
+subclass keeps its row emit and its declared schema, which
+:meth:`TextStage.table` types every batch from.  :func:`map_text_stage`
+runs a stage as Ray Data tasks (``stages.map_stage``).
 
 ``annotations_column``: JSON per row (``sources/folia.annotations_to_json``)
 carrying precomputed Frog/Alpino annotations — the reference's
@@ -86,15 +85,13 @@ class TextStage:
                                    annotations, tree_lookup)
 
     @staticmethod
-    def table(head: dict, schema: pa.Schema, columns) -> pa.Table:
-        """The stage's output table: ``head``'s Arrow columns (ids or
-        kept input columns) as they are, then one column per ``schema``
-        field, built from the value list ``columns[field.name]`` in the
-        type the field declares.  An empty batch and a full one thus get
-        one schema.  A value that does not fit its field raises
-        ``ValueError`` naming the column and, where the field records
-        one, its feature group."""
-        cols = dict(head)
+    def table(head: pa.Table, schema: pa.Schema, columns) -> pa.Table:
+        """``head``'s columns (ids or kept input columns), then
+        one column per ``schema`` field from the values
+        ``columns[field.name]``, in the field's type: an empty batch and
+        a full one get one schema.  A value that does not fit raises
+        ``ValueError`` naming the column and its feature group."""
+        cols = dict(zip(head.column_names, head.columns))
         for f in schema:
             cols[f.name] = _typed(columns[f.name], f)
         return pa.table(cols)
@@ -107,21 +104,19 @@ def _typed(vals: list, f: pa.Field) -> pa.Array:
             arr = np.asarray(vals) if vals else np.zeros(0, np.int64)
             if arr.dtype.kind not in "iub":
                 raise TypeError(f"got {arr.dtype} values")
-            return pa.array(arr.astype(np.int64, copy=False), type=f.type)
+            vals = arr.astype(np.int64, copy=False)
         return pa.array(vals, type=f.type)
     except (TypeError, ValueError, pa.ArrowException) as e:
-        group = (f.metadata or {}).get(b"group")
-        where = f" of feature group {group.decode()!r}" if group else ""
-        raise ValueError(f"column {f.name!r}{where} is declared {f.type}: "
-                         f"{e}") from e
+        group = (f.metadata or {}).get(b"group", b"-").decode()
+        raise ValueError(f"column {f.name!r} (feature group {group!r}) is "
+                         f"declared {f.type}: {e}") from e
 
 
 def repeat_ids(batch: pa.Table, id_columns: list[str],
-               rows: list[int]) -> dict[str, pa.ChunkedArray]:
-    """``batch``'s id columns with one value per output row, where
+               rows: list[int]) -> pa.Table:
+    """``batch``'s id columns with one row per output row, where
     ``rows[i]`` is the input row of output row ``i`` (Arrow types kept)."""
-    taken = batch.select(id_columns).take(pa.array(rows, type=pa.int64()))
-    return {c: taken.column(c) for c in id_columns}
+    return batch.select(id_columns).take(pa.array(rows, type=pa.int64()))
 
 
 def map_text_stage(ds, stage: type[TextStage], batch_size: int, **kwargs):

@@ -1923,14 +1923,20 @@ def featurize_document(
     the reduced parser.  Returns a flat dict whose keys are
     :func:`feature_names`, in order.
     """
-    lex = lex or default_lexicons()
+    out = emit_document(_walk(text, lex, cfg, lm, annotations, tree_lookup),
+                        cfg)
+    return {k: out[k] for k in feature_names(cfg)}
+
+
+def _walk(text, lex, cfg, lm, annotations=None, tree_lookup=None):
+    """:func:`analyze_document`, the packaged lexicons and LM standing in
+    for a ``None`` ``lex`` or ``lm``."""
     if lm is None:
         from tscan_ray.text.surprisal import default_lm
 
         lm = default_lm()
-    out = emit_document(
-        analyze_document(text, lex, cfg, lm, annotations, tree_lookup), cfg)
-    return {k: out[k] for k in feature_names(cfg)}
+    return analyze_document(text, lex or default_lexicons(), cfg, lm,
+                            annotations, tree_lookup)
 
 
 class _PlainOut(dict):
@@ -1944,7 +1950,7 @@ class _PlainOut(dict):
 
 class _SectionDict(dict):
     """Emit dict that records which section each column came from —
-    used once per process to build the ``feature_groups()`` map."""
+    used once per process to record ``feature_schema()``."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -1982,7 +1988,7 @@ def register_feature_group(name: str, fn) -> None:
     The group participates in ``feature_schema()`` and honors
     ``cfg.skip_groups`` like any built-in section; each column's Arrow
     type is the type it takes on the dummy document."""
-    if name in _CUSTOM_GROUPS or name in feature_groups(_NO_SKIP):
+    if name in _CUSTOM_GROUPS or name in feature_groups():
         raise ValueError(f"feature group {name!r} already exists")
     _CUSTOM_GROUPS[name] = fn
     _SCHEMAS.clear()
@@ -2000,17 +2006,15 @@ def set_custom_groups(groups: dict) -> None:
     schemas are dropped only when a group's name or code changes: every
     task unpickles fresh functions, which never compare equal, though
     their code objects do."""
-    if _registry_state(groups) != _registry_state(_CUSTOM_GROUPS):
+    def state(gs):
+        return [(name, getattr(fn, "__code__", fn)) for name, fn in gs.items()]
+
+    if state(groups) != state(_CUSTOM_GROUPS):
         _SCHEMAS.clear()
     _CUSTOM_GROUPS.clear()
     _CUSTOM_GROUPS.update(groups)
 
 
-def _registry_state(groups: dict) -> list:
-    return [(name, getattr(fn, "__code__", fn)) for name, fn in groups.items()]
-
-
-_NO_SKIP = EngineConfig(skip_groups=())
 # cfg.skip_groups -> the document vector's schema, for the registry as it
 # stands; cleared when the registry changes
 _SCHEMAS: dict[tuple, pa.Schema] = {}
@@ -2025,11 +2029,8 @@ def feature_schema(cfg: EngineConfig = DEFAULT_CONFIG) -> pa.Schema:
     Every document and paragraph table has exactly these columns."""
     key = tuple(cfg.skip_groups)
     if key not in _SCHEMAS:
-        from tscan_ray.text.surprisal import default_lm
-
-        folds = analyze_document("x .", default_lexicons(), cfg,
-                                 default_lm())
-        out = emit_document(folds, cfg, out_cls=_SectionDict)
+        out = emit_document(_walk("x .", None, cfg, None), cfg,
+                            out_cls=_SectionDict)
         _SCHEMAS[key] = pa.schema([
             pa.field(k, pa.int64() if isinstance(out[k], int)
                      else pa.float64(), metadata={"group": g})
@@ -2630,12 +2631,7 @@ def featurize_paragraphs(
 ) -> list[dict[str, float]]:
     """One feature vector per paragraph (:func:`emit_paragraphs`); the
     arguments are :func:`featurize_document`'s."""
-    lex = lex or default_lexicons()
-    if lm is None:
-        from tscan_ray.text.surprisal import default_lm
-
-        lm = default_lm()
     names = feature_names(cfg)
     return [{k: out[k] for k in names} for out in emit_paragraphs(
-        analyze_document(text, lex, cfg, lm, annotations, tree_lookup), cfg)]
+        _walk(text, lex, cfg, lm, annotations, tree_lookup), cfg)]
 

@@ -323,18 +323,8 @@ def lint_scores(
     return s1, level(s1), s2, level(s2)
 
 
-# id(vocab) -> (vocab, its longest entry's length); a lexicon is not
-# changed after it is loaded, and the entry keeps its id from reuse
+# id(vocab) -> (vocab, longest entry); a held vocab's id is never reused
 _LONGEST: dict[int, tuple[object, int]] = {}
-
-
-def _longest_entry(vocab) -> int:
-    hit = _LONGEST.get(id(vocab))
-    if hit is None:
-        if len(_LONGEST) >= 16:  # a process sees a few lexicons at most
-            _LONGEST.clear()
-        hit = _LONGEST[id(vocab)] = (vocab, max(map(len, vocab), default=0))
-    return hit[1]
 
 
 def split_compound(
@@ -360,9 +350,12 @@ def split_compound(
     n = len(lemma)
     if n < 2 * min_part:
         return None
-    # no part is longer than the longest vocab entry: without this bound
-    # an unseen 100k-character token costs seconds in one row
-    longest = _longest_entry(vocab)
+    # no part outruns the longest entry (an unseen 100k-char token: 2 s)
+    if id(vocab) not in _LONGEST:
+        if len(_LONGEST) >= 16:  # a process sees a few lexicons at most
+            _LONGEST.clear()
+        _LONGEST[id(vocab)] = (vocab, max(map(len, vocab), default=0))
+    longest = _LONGEST[id(vocab)][1]
 
     def rec(i: int, depth: int):
         if i == n:

@@ -107,9 +107,10 @@ def _typed(vals: list, f: pa.Field) -> pa.Array:
             vals = arr.astype(np.int64, copy=False)
         return pa.array(vals, type=f.type)
     except (TypeError, ValueError, pa.ArrowException) as e:
-        group = (f.metadata or {}).get(b"group", b"-").decode()
-        raise ValueError(f"column {f.name!r} (feature group {group!r}) is "
-                         f"declared {f.type}: {e}") from e
+        group = (f.metadata or {}).get(b"group", b"").decode()
+        where = f" (feature group {group!r})" if group else ""
+        raise ValueError(f"column {f.name!r}{where} is declared {f.type}: "
+                         f"{e}") from e
 
 
 def repeat_ids(batch: pa.Table, id_columns: list[str],

@@ -53,6 +53,20 @@ class TestRecordedSchema:
         assert list(F.featurize_document("de kat slaapt .", cfg=cfg)) \
             == F.feature_names(cfg)
 
+    def test_same_code_closures_are_two_registry_states(self):
+        """Two closures of one factory share ``__code__``; a registry
+        holding the second must not keep the first one's schema."""
+        def make_group(col):
+            def group(doc, out, cfg):
+                return {col: 1.0}
+            return group
+
+        F.set_custom_groups({"g": make_group("a_cnt")})
+        assert F.feature_names()[-1] == "a_cnt"
+        F.set_custom_groups({"g": make_group("b_cnt")})
+        assert F.feature_names()[-1] == "b_cnt"
+        assert "a_cnt" not in F.feature_names()
+
     def test_one_emit_per_registry_state(self, monkeypatch):
         """Ten stage builds and ten ``feature_names()`` calls make one
         dummy-document emit, then none once the schema is recorded."""

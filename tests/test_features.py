@@ -460,10 +460,11 @@ class TestCompoundSplitter:
         from tscan_ray.text.kernels import split_compound
         from tscan_ray.text.lexicons import default_lexicons
 
-        vocab = default_lexicons().noun_sem
-        split_compound("huisdeur", vocab)  # the vocabulary's bound, once
+        lex = default_lexicons()
+        longest = lex.longest_noun  # the bundle's bound, read once
         t0 = time.perf_counter()
-        assert split_compound("q" * 100_000, vocab) is None
+        assert split_compound("q" * 100_000, lex.noun_sem,
+                              longest=longest) is None
         assert time.perf_counter() - t0 < 0.05
 
     def test_unknown_noun_splits_and_inherits_head_sem(self):

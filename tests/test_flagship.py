@@ -320,6 +320,26 @@ class TestRunStage:
         assert "nwords_cnt" not in out.column_names
         assert out.column("nchars_cnt").to_pylist() == [12.0, 16.0]
 
+    def test_closures_of_one_factory_keep_their_own_columns(self):
+        import pickle
+
+        import cloudpickle
+
+        def make_group(col):
+            def group(doc, out, cfg):
+                return {col: float(len(doc.words))}
+            return group
+
+        first, second = make_group("a_cnt"), make_group("b_cnt")
+        assert first.__code__ is second.__code__
+        # two jobs in one worker, each shipping its own closure
+        for fn, col, other in ((first, "a_cnt", "b_cnt"),
+                               (second, "b_cnt", "a_cnt")):
+            shipped = pickle.loads(cloudpickle.dumps({"g": fn}))
+            out = self._call(shipped)
+            assert out.column(col).to_pylist() == [4.0, 5.0]
+            assert other not in out.column_names
+
 
 class TestWindowedDiversity:
     def test_flagship_emits_windowed_ttr_mtld(self, result):

@@ -3,7 +3,6 @@ sentence's parse record and every document vector, over a corpus built
 only from text already in this repository.
 
     python3 tools/text_snapshot.py            # rewrite the snapshot
-    python3 tools/text_snapshot.py --stats    # corpus sizes only
 
 The corpus is:
 
@@ -23,7 +22,6 @@ the text path's outputs, and say so where the change is recorded.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import dataclasses
 import gzip
@@ -179,17 +177,7 @@ def load() -> tuple[dict, list[dict]]:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--stats", action="store_true",
-                    help="print the corpus sizes and write nothing")
-    args = ap.parse_args()
     texts = corpus()
-    if args.stats:
-        from collections import Counter
-
-        for src, n in Counter(s.split(":")[0] for s, _ in texts).items():
-            print(f"{src}: {n} texts")
-        return
     os.makedirs(os.path.dirname(SNAPSHOT), exist_ok=True)
     # mtime=0: the same snapshot gives the same bytes
     with open(SNAPSHOT, "wb") as raw, \

@@ -97,15 +97,23 @@ def with_custom_wordlist(wordlist, classification: str = "custom"):
     """
     import copy
 
+    from tscan_ray.text.lexicons import default_lexicons
+
+    import itertools
+
     from tscan_ray.text import lexicons as _lexmod
 
-    lex = copy.deepcopy(_lexmod.default_lexicons())
+    lex = copy.deepcopy(default_lexicons())
     # a deepcopy keeps the source bundle's memo token; issue a fresh one
     # so the word-analysis memo cannot serve stale entries
     lex.memo_token = next(_lexmod._GEN_COUNTER)
     if hasattr(wordlist, "column_names"):  # pyarrow Table
-        wordlist = wordlist.to_pandas()
-    if hasattr(wordlist, "columns"):  # pandas DataFrame
+        words = wordlist.column("word").to_pylist()
+        labels = (wordlist.column("classification").to_pylist()
+                  if "classification" in wordlist.column_names
+                  else [classification] * len(words))
+        mapping = dict(zip(words, labels))
+    elif hasattr(wordlist, "columns"):  # pandas DataFrame
         words = wordlist["word"].tolist()
         labels = (wordlist["classification"].tolist()
                   if "classification" in wordlist.columns

@@ -424,7 +424,8 @@ def _finish_word(ann: WordAnn, lex: Lexicons) -> WordAnn:
         # calls the splitter service only when the noun_sem lookup missed,
         # src/tscan.cxx:1355-1385); on a split the compound inherits its
         # HEAD's semantic type (src/tscan.cxx:1379-1383)
-        comp = kernels.split_compound(ann.lemma.lower(), lex.noun_sem)
+        comp = kernels.split_compound(ann.lemma.lower(), lex.noun_sem,
+                                      longest=lex.longest_noun)
         if comp is not None:
             head_sem = lex.noun_sem.get(comp[0])
             if head_sem is not None:
@@ -2003,13 +2004,12 @@ def set_custom_groups(groups: dict) -> None:
     """Make this process's registry exactly ``groups``, a snapshot of the
     registry where a pipeline was built.  A worker runs job after job, so
     a group one job shipped must not outlive it there.  The recorded
-    schemas are dropped only when a group's name or code changes: every
-    task unpickles fresh functions, which never compare equal, though
-    their code objects do."""
-    def state(gs):
-        return [(name, getattr(fn, "__code__", fn)) for name, fn in gs.items()]
-
-    if state(groups) != state(_CUSTOM_GROUPS):
+    schemas are kept only when ``groups`` holds the very functions
+    already registered, in the same order: two closures of one factory
+    share their code but not what they captured, so only the same object
+    is the same group.  A task that unpickles its groups afresh records
+    the schema once for itself."""
+    if list(groups.items()) != list(_CUSTOM_GROUPS.items()):
         _SCHEMAS.clear()
     _CUSTOM_GROUPS.clear()
     _CUSTOM_GROUPS.update(groups)
@@ -2026,7 +2026,10 @@ def feature_schema(cfg: EngineConfig = DEFAULT_CONFIG) -> pa.Schema:
     metadata's ``group``) and its Arrow type, int64 where the emitted
     value is an ``int`` and float64 otherwise.  Built-in groups follow
     the reference's CSV section order; ``cfg.skip_groups`` are left out.
-    Every document and paragraph table has exactly these columns."""
+    Every document and paragraph table has exactly these columns.  The
+    dummy document is read with the packaged lexicons and LM whatever a
+    stage's own are: a group whose value type depends on them gets a
+    ``ValueError`` naming it from the stage, not a second schema."""
     key = tuple(cfg.skip_groups)
     if key not in _SCHEMAS:
         out = emit_document(_walk("x .", None, cfg, None), cfg,

@@ -323,15 +323,12 @@ def lint_scores(
     return s1, level(s1), s2, level(s2)
 
 
-# id(vocab) -> (vocab, longest entry); a held vocab's id is never reused
-_LONGEST: dict[int, tuple[object, int]] = {}
-
-
 def split_compound(
     lemma: str,
     vocab,
     min_part: int = 3,
     max_parts: int = 4,
+    longest: int | None = None,
 ) -> tuple[str, str, int] | None:
     """Deterministic Dutch compound split — the engine's stand-in for the
     reference's external compound-splitter service (splitCompound,
@@ -346,16 +343,16 @@ def split_compound(
     None when no split exists — the caller then keeps UNFOUND_NOUN
     exactly like the reference's found_split=false path
     (src/tscan.cxx:1386-1393).
+
+    ``longest``: the length of ``vocab``'s longest entry (computed here
+    when not given).  No part is longer, so the search never slices past
+    it: an unseen 100k-character token costs no more than a short one.
     """
     n = len(lemma)
     if n < 2 * min_part:
         return None
-    # no part outruns the longest entry (an unseen 100k-char token: 2 s)
-    if id(vocab) not in _LONGEST:
-        if len(_LONGEST) >= 16:  # a process sees a few lexicons at most
-            _LONGEST.clear()
-        _LONGEST[id(vocab)] = (vocab, max(map(len, vocab), default=0))
-    longest = _LONGEST[id(vocab)][1]
+    if longest is None:
+        longest = max(map(len, vocab), default=0)
 
     def rec(i: int, depth: int):
         if i == n:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 # ---------------------------------------------------------------------------
 # Behavior constants (reference-cited)
@@ -139,6 +140,14 @@ class Lexicons:
 
     def max_conn_multi(self) -> int:
         return max((s.count(" ") + 1 for s in self.conn_multi), default=0)
+
+    @cached_property
+    def longest_noun(self) -> int:
+        """Length of the longest ``noun_sem`` lemma: the compound
+        splitter's bound on a part.  Read once per bundle, which is not
+        changed once it is in use (the word-analysis memo assumes the
+        same)."""
+        return max(map(len, self.noun_sem), default=0)
 
 
 def _stable_int(s: str, mod: int) -> int:

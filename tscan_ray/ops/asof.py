@@ -242,8 +242,7 @@ def interval_join(
         cand = _asof_indices(
             ldf[key].to_numpy(), ldf[ts].to_numpy(),
             rdf[key].to_numpy(), rdf[start_col].to_numpy(), "backward", None)
-        # the inclusive end bound, compared on typed values: a schema-less
-        # right side's object-dtype null column is never compared with ts
+        # the inclusive end bound, on typed values of the candidates only
         ends = rdf[end_col]
         hit = cand >= 0
         hit[hit] = ends.notna().to_numpy()[cand[hit]]

@@ -17,8 +17,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from tscan_ray.config import DEFAULT_CONFIG, EngineConfig
-from tscan_ray.stages.text_stage import (TextStage, map_text_stage,
-                                         repeat_ids)
+from tscan_ray.stages.text_stage import TextStage, map_text_stage
 from tscan_ray.text.features import emit_paragraphs, feature_schema
 
 
@@ -40,9 +39,9 @@ class ParagraphExploder(TextStage):
                 vec["par_idx"] = pi
                 doc_rows.append(row)
                 rows.append(vec)
-        return self.table(repeat_ids(batch, self.id_columns, doc_rows),
-                          self.schema,
-                          {n: [r[n] for r in rows] for n in self.schema.names})
+        return self.table(batch.select(self.id_columns), self.schema,
+                          {n: [r[n] for r in rows] for n in self.schema.names},
+                          doc_rows)
 
 
 def explode_paragraphs(

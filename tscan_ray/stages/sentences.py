@@ -17,8 +17,7 @@ import math
 import pyarrow as pa
 
 from tscan_ray.config import DEFAULT_CONFIG, EngineConfig
-from tscan_ray.stages.text_stage import (TextStage, map_text_stage,
-                                         repeat_ids)
+from tscan_ray.stages.text_stage import TextStage, map_text_stage
 
 _COUNTER_COLS = (
     "wordCnt letCnt nameCnt contentCnt contentStrictCnt nounCnt verbCnt "
@@ -36,7 +35,7 @@ _SENT_FIELDS = [
     ("perplexity_fwd", pa.float64(),
      lambda p, lm: lm.get("perplexity", math.nan)),
 ]
-# the sentence table's declared schema, after the id columns
+# the sentence table after its id columns
 _SCHEMA = pa.schema(
     [(c, pa.int32()) for c in ("par_idx", "sent_idx", "n_tokens",
                                *_COUNTER_COLS)]
@@ -64,8 +63,8 @@ class SentenceExploder(TextStage):
                         out[c].append(int(f.c[c]))
                     for name, _, fn in _SENT_FIELDS:
                         out[name].append(fn(f.parses[0], fwd))
-        return self.table(repeat_ids(batch, self.id_columns, doc_rows),
-                          _SCHEMA, out)
+        return self.table(batch.select(self.id_columns), _SCHEMA, out,
+                          doc_rows)
 
 
 def explode_sentences(

@@ -85,12 +85,14 @@ class TextStage:
                                    annotations, tree_lookup)
 
     @staticmethod
-    def table(head: pa.Table, schema: pa.Schema, columns) -> pa.Table:
-        """``head``'s columns (ids or kept input columns), then
-        one column per ``schema`` field from the values
-        ``columns[field.name]``, in the field's type: an empty batch and
-        a full one get one schema.  A value that does not fit raises
-        ``ValueError`` naming the column and its feature group."""
+    def table(head: pa.Table, schema: pa.Schema, columns,
+              rows: list[int] | None = None) -> pa.Table:
+        """``head``'s columns (row ``rows[i]`` as output row ``i``, if
+        given), then ``columns[f.name]`` typed as ``f`` for each ``schema``
+        field ``f``, so every batch gets one schema; a value that does not
+        fit raises ``ValueError`` naming the column and its group."""
+        if rows is not None:
+            head = head.take(pa.array(rows, type=pa.int64()))
         cols = dict(zip(head.column_names, head.columns))
         for f in schema:
             cols[f.name] = _typed(columns[f.name], f)
@@ -111,13 +113,6 @@ def _typed(vals: list, f: pa.Field) -> pa.Array:
         where = f" (feature group {group!r})" if group else ""
         raise ValueError(f"column {f.name!r}{where} is declared {f.type}: "
                          f"{e}") from e
-
-
-def repeat_ids(batch: pa.Table, id_columns: list[str],
-               rows: list[int]) -> pa.Table:
-    """``batch``'s id columns with one row per output row, where
-    ``rows[i]`` is the input row of output row ``i`` (Arrow types kept)."""
-    return batch.select(id_columns).take(pa.array(rows, type=pa.int64()))
 
 
 def map_text_stage(ds, stage: type[TextStage], batch_size: int, **kwargs):

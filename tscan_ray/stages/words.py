@@ -16,8 +16,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from tscan_ray.config import DEFAULT_CONFIG, EngineConfig
-from tscan_ray.stages.text_stage import (TextStage, map_text_stage,
-                                         repeat_ids)
+from tscan_ray.stages.text_stage import TextStage, map_text_stage
 from tscan_ray.text import display as _d
 
 # (name, arrow type, WordAnn attribute) — the word-level schema
@@ -67,7 +66,7 @@ _DISPLAY_FIELDS = [
     ("connective_nl", lambda a: _d.conn_nl(a.conn_type)),
     ("situation_nl", lambda a: _d.sit_nl(a.sit_type)),
 ]
-# the word table's declared schema, after the id columns
+# the word table after its id columns
 _SCHEMA = pa.schema(
     [(c, pa.int32()) for c in ("par_idx", "sent_idx", "word_idx")]
     + [(name, typ) for name, typ, _ in _WORD_FIELDS]
@@ -104,8 +103,8 @@ class WordExploder(TextStage):
                             out[name].append(getattr(ann, attr))
                         for name, fn in _DISPLAY_FIELDS:
                             out[name].append(fn(ann))
-        return self.table(repeat_ids(batch, self.id_columns, doc_rows),
-                          _SCHEMA, out)
+        return self.table(batch.select(self.id_columns), _SCHEMA, out,
+                          doc_rows)
 
 
 def explode_words(

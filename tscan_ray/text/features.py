@@ -1986,9 +1986,8 @@ def register_feature_group(name: str, fn) -> None:
     """Register a custom feature group.  ``fn(doc: Fold, out: dict,
     cfg: EngineConfig) -> dict[str, float]`` returns the group's columns
     (it may read — but not overwrite — built-in columns via ``out``).
-    The group participates in ``feature_schema()`` and honors
-    ``cfg.skip_groups`` like any built-in section; each column's Arrow
-    type is the type it takes on the dummy document."""
+    The group joins ``feature_schema()``, typed from the dummy document,
+    and honors ``cfg.skip_groups`` like any built-in section."""
     if name in _CUSTOM_GROUPS or name in feature_groups():
         raise ValueError(f"feature group {name!r} already exists")
     _CUSTOM_GROUPS[name] = fn
@@ -2002,21 +2001,16 @@ def unregister_feature_group(name: str) -> None:
 
 def set_custom_groups(groups: dict) -> None:
     """Make this process's registry exactly ``groups``, a snapshot of the
-    registry where a pipeline was built.  A worker runs job after job, so
-    a group one job shipped must not outlive it there.  The recorded
-    schemas are kept only when ``groups`` holds the very functions
-    already registered, in the same order: two closures of one factory
-    share their code but not what they captured, so only the same object
-    is the same group.  A task that unpickles its groups afresh records
-    the schema once for itself."""
+    registry where a pipeline was built (a worker runs job after job).
+    The recorded schemas stay only for the very functions already
+    registered: closures of one factory share code, not captured values."""
     if list(groups.items()) != list(_CUSTOM_GROUPS.items()):
         _SCHEMAS.clear()
     _CUSTOM_GROUPS.clear()
     _CUSTOM_GROUPS.update(groups)
 
 
-# cfg.skip_groups -> the document vector's schema, for the registry as it
-# stands; cleared when the registry changes
+# cfg.skip_groups -> feature_schema(), cleared when the registry changes
 _SCHEMAS: dict[tuple, pa.Schema] = {}
 
 
@@ -2026,10 +2020,8 @@ def feature_schema(cfg: EngineConfig = DEFAULT_CONFIG) -> pa.Schema:
     metadata's ``group``) and its Arrow type, int64 where the emitted
     value is an ``int`` and float64 otherwise.  Built-in groups follow
     the reference's CSV section order; ``cfg.skip_groups`` are left out.
-    Every document and paragraph table has exactly these columns.  The
-    dummy document is read with the packaged lexicons and LM whatever a
-    stage's own are: a group whose value type depends on them gets a
-    ``ValueError`` naming it from the stage, not a second schema."""
+    Every document and paragraph table has exactly these columns, typed
+    from the packaged lexicons and LM whatever a stage's own are."""
     key = tuple(cfg.skip_groups)
     if key not in _SCHEMAS:
         out = emit_document(_walk("x .", None, cfg, None), cfg,

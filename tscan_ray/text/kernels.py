@@ -342,11 +342,8 @@ def split_compound(
     (head, satellite_clean, n_parts) like the lexicon compound table, or
     None when no split exists — the caller then keeps UNFOUND_NOUN
     exactly like the reference's found_split=false path
-    (src/tscan.cxx:1386-1393).
-
-    ``longest``: the length of ``vocab``'s longest entry (computed here
-    when not given).  No part is longer, so the search never slices past
-    it: an unseen 100k-character token costs no more than a short one.
+    (src/tscan.cxx:1386-1393).  ``longest`` (``vocab``'s longest entry)
+    bounds a part, so an unseen 100k-character token is cheap too.
     """
     n = len(lemma)
     if n < 2 * min_part:

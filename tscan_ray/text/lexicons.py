@@ -143,10 +143,8 @@ class Lexicons:
 
     @cached_property
     def longest_noun(self) -> int:
-        """Length of the longest ``noun_sem`` lemma: the compound
-        splitter's bound on a part.  Read once per bundle, which is not
-        changed once it is in use (the word-analysis memo assumes the
-        same)."""
+        """The compound splitter's bound on a part, read once per bundle
+        (a bundle in use is not changed, as the word-analysis memo assumes)."""
         return max(map(len, self.noun_sem), default=0)
 
 
